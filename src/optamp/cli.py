@@ -13,13 +13,7 @@ from .errors import ParameterOutOfRange
 from .family import SignChoice, make_spec
 from .family import apply as apply_spec
 from .grover import dumps_trace_csv, grover_iterate
-from .optimal import (
-    ABSOLUTE_TOL,
-    AmplifyReport,
-    amplify_optimal,
-    dumps_sweep_csv,
-    theta_sweep,
-)
+from .optimal import AmplifyReport, amplify_optimal, dumps_sweep_csv, theta_sweep
 from .search import SearchProblem, compare_with_grover, one_step_search
 from .state import StateVector, dumps_state_vector, load_state_vector
 from .verify import dumps_verification, run_verification
@@ -78,14 +72,7 @@ def _cmd_amplify(config: RunConfig) -> int:
     else:
         spec = make_spec(state.n, float(config.theta), config.signs)
         out = apply_spec(spec, state)
-        post = abs(float(out.amplitudes[0]))
-        report = AmplifyReport(
-            theta_star=spec.theta,
-            pre_amplitude0=float(state.amplitudes[0]),
-            post_amplitude0=post,
-            post_probability0=post**2,
-            absolute=post**2 >= 1.0 - ABSOLUTE_TOL,
-        )
+        report = AmplifyReport.from_arrays(spec.theta, state.amplitudes, out.amplitudes)
     _emit(report.to_json(), config.output_path)
     if config.output_path is not None:
         _emit(dumps_state_vector(out), _state_sibling(config.output_path))

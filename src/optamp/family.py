@@ -177,6 +177,12 @@ def make_spec_from_beta0(
     return AmplifierSpec(n, theta, signs)
 
 
+def _reduce(arr: np.ndarray) -> tuple[float, float]:
+    """The pair ``(a[0], sum(a[1:]))``: all that component 0 of any member's
+    output depends on, computed in one O(n) pass."""
+    return float(arr[0]), float(np.sum(arr[1:]))
+
+
 def _require_same_dimension(spec: AmplifierSpec, a: StateVector) -> None:
     if a.n != spec.n:
         raise DimensionError(f"state has dimension {a.n}, spec expects {spec.n}")
@@ -189,8 +195,8 @@ def eta_functional(spec: AmplifierSpec, a: StateVector) -> float:
     """
     _require_same_dimension(spec, a)
     signs = spec.signs
-    tail_sum = float(np.sum(a.amplitudes[1:]))
-    return spec.eta0 * float(a.amplitudes[0]) + signs.eps4 * signs.eps3 * spec.gamma0 * tail_sum
+    a0, tail_sum = _reduce(a.amplitudes)
+    return spec.eta0 * a0 + signs.eps4 * signs.eps3 * spec.gamma0 * tail_sum
 
 
 def c_functional(spec: AmplifierSpec, a: StateVector) -> float:
@@ -199,8 +205,8 @@ def c_functional(spec: AmplifierSpec, a: StateVector) -> float:
     c(a) = gamma0 * a[0] - (1 + eps3*beta0)/(n - 1) * sum(a[1:]).
     """
     _require_same_dimension(spec, a)
-    tail_sum = float(np.sum(a.amplitudes[1:]))
-    return spec.gamma0 * float(a.amplitudes[0]) + spec.gamma_i * tail_sum
+    a0, tail_sum = _reduce(a.amplitudes)
+    return spec.gamma0 * a0 + spec.gamma_i * tail_sum
 
 
 def _apply_array(spec: AmplifierSpec, arr: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, SumZero
-from .family import SignChoice, _apply_array, make_spec
+from .family import SignChoice, _apply_array, _reduce, make_spec
 from .state import StateVector, format_float
 
 TWO_PI = 2.0 * math.pi
@@ -36,6 +36,18 @@ class AmplifyReport:
     post_probability0: float
     absolute: bool
 
+    @classmethod
+    def from_arrays(cls, theta: float, before: np.ndarray, after: np.ndarray) -> AmplifyReport:
+        """The report for the member at ``theta`` mapping ``before`` to ``after``."""
+        post_amplitude = abs(float(after[0]))
+        return cls(
+            theta_star=theta,
+            pre_amplitude0=float(before[0]),
+            post_amplitude0=post_amplitude,
+            post_probability0=post_amplitude**2,
+            absolute=post_amplitude**2 >= 1.0 - ABSOLUTE_TOL,
+        )
+
     def to_json(self) -> str:
         obj = {
             "theta_star": self.theta_star,
@@ -58,10 +70,10 @@ def optimal_theta(a: StateVector) -> float:
     returned in [0, 2*pi).  Raises :class:`SumZero` when sum(a[1:]) == 0:
     no family member can then increase component 0 at all.
     """
-    tail_sum = float(np.sum(a.amplitudes[1:]))
+    a0, tail_sum = _reduce(a.amplitudes)
     if tail_sum == 0.0:
         raise SumZero("sum of components 1..n-1 is zero; component 0 is already extremal")
-    theta = math.atan2(tail_sum, float(a.amplitudes[0]) * math.sqrt(a.n - 1))
+    theta = math.atan2(tail_sum, a0 * math.sqrt(a.n - 1))
     return theta % TWO_PI
 
 
@@ -80,14 +92,7 @@ def amplify_optimal(
     theta_star = optimal_theta(a)
     spec = make_spec(a.n, theta_star, signs)
     out = _apply_array(spec, a.amplitudes)
-    post_amplitude = abs(float(out[0]))
-    report = AmplifyReport(
-        theta_star=theta_star,
-        pre_amplitude0=float(a.amplitudes[0]),
-        post_amplitude0=post_amplitude,
-        post_probability0=post_amplitude**2,
-        absolute=post_amplitude**2 >= 1.0 - ABSOLUTE_TOL,
-    )
+    report = AmplifyReport.from_arrays(theta_star, a.amplitudes, out)
     return StateVector.unnormalized(a.n, out), report
 
 
@@ -97,18 +102,19 @@ def theta_sweep(
     """Post-application magnitude of component 0 over an even grid on [0, 2*pi).
 
     Brute-force companion to :func:`optimal_theta`: the sweep maximum never
-    exceeds the optimum beyond roundoff.
+    exceeds the optimum beyond roundoff.  Every member maps component 0 to
+    +/-(a[0]*cos(theta) + gamma0*S) with gamma0 = sin(theta)/sqrt(n-1) and
+    S = sum(a[1:]), so the magnitudes do not depend on ``signs`` and the
+    sweep costs one O(n) reduction plus O(points) scalar work.  They agree
+    with :func:`optamp.family.apply` at each grid angle to roundoff, not
+    bit for bit.
     """
     if points < 2:
         raise ParameterOutOfRange(f"points must be at least 2, got {points}")
-    if signs is None:
-        signs = SignChoice.all_plus()
-    rows: list[SweepRow] = []
-    for k in range(points):
-        theta = TWO_PI * k / points
-        out = _apply_array(make_spec(a.n, theta, signs), a.amplitudes)
-        rows.append((theta, abs(float(out[0]))))
-    return rows
+    a0, tail_sum = _reduce(a.amplitudes)
+    theta = TWO_PI * np.arange(points) / points
+    amp = np.abs(a0 * np.cos(theta) + np.sin(theta) / math.sqrt(a.n - 1) * tail_sum)
+    return list(zip(theta.tolist(), amp.tolist()))
 
 
 def is_absolute_optimal(report: AmplifyReport) -> bool:

@@ -115,7 +115,10 @@ def _first_local_max(probs: list[float]) -> int:
 
 
 def compare_with_grover(p: SearchProblem, max_steps: int) -> ComparisonReport:
-    """Contrast the one-application search with up to ``max_steps`` classic iterations."""
+    """Contrast the one-application search with up to ``max_steps`` classic iterations.
+
+    Costs O(n + max_steps): the classic trace comes from :func:`grover_iterate`.
+    """
     if max_steps < 1:
         raise ParameterOutOfRange(f"max_steps must be at least 1, got {max_steps}")
     _, amplitude = one_step_search(p)

@@ -35,7 +35,10 @@ class StateVector:
     def __post_init__(self, check_norm: bool) -> None:
         if self.n < 2:
             raise DimensionError(f"dimension must be at least 2, got {self.n}")
-        arr = np.array(self.amplitudes, dtype=np.float64)
+        try:
+            arr = np.array(self.amplitudes, dtype=np.float64)
+        except OverflowError as exc:
+            raise StateFormatError(f"amplitudes must fit in a float64: {exc}") from exc
         if arr.ndim != 1 or arr.shape[0] != self.n:
             raise DimensionError(f"expected {self.n} amplitudes, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):

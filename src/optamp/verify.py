@@ -17,7 +17,7 @@ from .family import (
     make_spec,
     reflection_form,
 )
-from .grover import corollary_equivalence_check
+from .grover import corollary_equivalence_check, grover_apply, grover_iterate
 from .optimal import amplify_optimal, optimal_theta, theta_sweep
 from .search import SearchProblem, one_step_search
 from .state import StateVector
@@ -27,6 +27,10 @@ TWO_PI = 2.0 * math.pi
 # Dense-backed checks (matrix reconstruction, involution products) run at a
 # clamped dimension so `verify` stays fast at any requested n.
 DENSE_CHECK_MAX = 256
+
+# Largest gap allowed between a reduced-pair fast path (`grover_iterate`,
+# `theta_sweep`) and the full-vector reference it replaces.
+FAST_PATH_TOL = 1e-12
 
 
 def random_unit_vector(rng: np.random.Generator, n: int) -> StateVector:
@@ -43,7 +47,8 @@ def run_verification(seed: int, n: int, cases: int = 100) -> dict:
 
     Deterministic for a fixed (seed, n, cases): the artifact bytes are
     reproducible run to run.  Matrix-free checks use the full dimension n;
-    dense checks use min(n, DENSE_CHECK_MAX).
+    dense checks use min(n, DENSE_CHECK_MAX).  The last two checks hold the
+    O(n + k) sweep and Grover trace to their full-vector references.
     """
     rng = np.random.default_rng(seed)
     sign_pool = SignChoice.enumerate()
@@ -138,6 +143,26 @@ def run_verification(seed: int, n: int, cases: int = 100) -> dict:
     found, amplitude = one_step_search(SearchProblem(n, marked))
     record("one_step_search_amplitude", abs(amplitude - 1.0), 1e-9)
     record("one_step_search_found_marked", 0.0 if found == marked else 1.0, 0.0)
+
+    current = vec = random_unit_vector(rng, n)
+    iterated = [abs(float(current.amplitudes[0]))]
+    for _ in range(32):
+        current = grover_apply(current)
+        iterated.append(abs(float(current.amplitudes[0])))
+    traced = [amp for _, amp, _ in grover_iterate(vec, 32)]
+    record(
+        "grover_trace_matches_iteration",
+        max(abs(fast - slow) for fast, slow in zip(traced, iterated)),
+        FAST_PATH_TOL,
+    )
+
+    vec = random_unit_vector(rng, n)
+    signs = sign_pool[int(rng.integers(32))]
+    worst_sweep_apply = max(
+        abs(amp - abs(float(_apply_array(make_spec(n, theta, signs), vec.amplitudes)[0])))
+        for theta, amp in theta_sweep(vec, signs, points=64)
+    )
+    record("sweep_matches_apply", worst_sweep_apply, FAST_PATH_TOL)
 
     return {
         "seed": seed,

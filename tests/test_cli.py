@@ -59,6 +59,29 @@ def test_amplify_signs_flag(capsys):
     assert abs(report["post_probability0"] - 1.0) < 1e-9
 
 
+def test_amplify_given_optimal_theta_matches_auto(tmp_path):
+    rng = np.random.default_rng(11)
+    raw = rng.standard_normal(9)
+    inp = tmp_path / "input.json"
+    save_state_vector(StateVector(9, raw / np.linalg.norm(raw)), inp)
+    signs = ["--signs", "+1,-1,-1,+1,-1"]
+    auto, given = tmp_path / "auto.json", tmp_path / "given.json"
+    assert main(["amplify", "--input", str(inp), *signs, "--output", str(auto)]) == 0
+    theta_star = json.loads(auto.read_text(encoding="utf-8"))["theta_star"]
+    theta_arg = ["--theta", repr(theta_star)]
+    assert main(["amplify", "--input", str(inp), *signs, *theta_arg, "--output", str(given)]) == 0
+    assert given.read_bytes() == auto.read_bytes()
+    assert (tmp_path / "given.state.json").read_bytes() == (tmp_path / "auto.state.json").read_bytes()
+
+
+def test_oversized_integer_amplitude_exits_2(tmp_path, capsys):
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"n": 2, "amplitudes": [%s, 0]}' % ("1" * 400), encoding="utf-8")
+    assert main(["amplify", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_amplify_sum_zero_input_is_parameter_error(tmp_path, capsys):
     path = tmp_path / "basis.json"
     save_state_vector(StateVector.basis(4, 0), path)
