@@ -6,7 +6,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ParameterOutOfRange
@@ -23,22 +22,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    """One CLI invocation, fully resolved."""
-
-    command: str
-    n: Optional[int] = None
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    theta: str = "auto"
-    signs: SignChoice = field(default_factory=SignChoice.all_plus)
-    points: int = 1000
-    marked: int = 0
-    max_steps: Optional[int] = None
-    seed: int = 0
-
-
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -53,49 +36,49 @@ def _state_sibling(path: str) -> str:
     return stem + ".state.json"
 
 
-def _input_state(config: RunConfig) -> StateVector:
-    if config.input_path is not None:
-        return load_state_vector(config.input_path)
-    if config.n is None:
+def _input_state(args: argparse.Namespace) -> StateVector:
+    if args.input_path is not None:
+        return load_state_vector(args.input_path)
+    if args.n is None:
         raise ParameterOutOfRange("provide --input or --n")
-    return StateVector.uniform(config.n)
+    return StateVector.uniform(args.n)
 
 
 def _default_steps(n: int) -> int:
     return math.ceil(2.0 * math.sqrt(n))
 
 
-def _cmd_amplify(config: RunConfig) -> int:
-    state = _input_state(config)
-    if config.theta == "auto":
-        out, report = amplify_optimal(state, config.signs)
+def _cmd_amplify(args: argparse.Namespace) -> int:
+    state = _input_state(args)
+    if args.theta == "auto":
+        out, report = amplify_optimal(state, args.signs)
     else:
-        spec = make_spec(state.n, float(config.theta), config.signs)
+        spec = make_spec(state.n, float(args.theta), args.signs)
         out = apply_spec(spec, state)
         report = AmplifyReport.from_arrays(spec.theta, state.amplitudes, out.amplitudes)
-    _emit(report.to_json(), config.output_path)
-    if config.output_path is not None:
-        _emit(dumps_state_vector(out), _state_sibling(config.output_path))
+    _emit(report.to_json(), args.output_path)
+    if args.output_path is not None:
+        _emit(dumps_state_vector(out), _state_sibling(args.output_path))
     return EXIT_OK
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    state = _input_state(config)
-    rows = theta_sweep(state, config.signs, config.points)
-    _emit(dumps_sweep_csv(rows), config.output_path)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    state = _input_state(args)
+    rows = theta_sweep(state, args.signs, args.points)
+    _emit(dumps_sweep_csv(rows), args.output_path)
     return EXIT_OK
 
 
-def _cmd_grover(config: RunConfig) -> int:
-    state = _input_state(config)
-    steps = config.max_steps if config.max_steps is not None else _default_steps(state.n)
+def _cmd_grover(args: argparse.Namespace) -> int:
+    state = _input_state(args)
+    steps = args.max_steps if args.max_steps is not None else _default_steps(state.n)
     rows = grover_iterate(state, steps)
-    _emit(dumps_trace_csv(rows), config.output_path)
+    _emit(dumps_trace_csv(rows), args.output_path)
     return EXIT_OK
 
 
-def _cmd_search(config: RunConfig) -> int:
-    problem = SearchProblem(config.n, config.marked)
+def _cmd_search(args: argparse.Namespace) -> int:
+    problem = SearchProblem(args.n, args.marked)
     found, amplitude = one_step_search(problem)
     obj = {
         "n": problem.n,
@@ -104,21 +87,21 @@ def _cmd_search(config: RunConfig) -> int:
         "amplitude": amplitude,
         "probability": amplitude**2,
     }
-    _emit(json.dumps(obj, indent=2) + "\n", config.output_path)
+    _emit(json.dumps(obj, indent=2) + "\n", args.output_path)
     return EXIT_OK
 
 
-def _cmd_compare(config: RunConfig) -> int:
-    problem = SearchProblem(config.n, config.marked)
-    steps = config.max_steps if config.max_steps is not None else _default_steps(problem.n)
+def _cmd_compare(args: argparse.Namespace) -> int:
+    problem = SearchProblem(args.n, args.marked)
+    steps = args.max_steps if args.max_steps is not None else _default_steps(problem.n)
     report = compare_with_grover(problem, steps)
-    _emit(report.to_json(), config.output_path)
+    _emit(report.to_json(), args.output_path)
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    summary = run_verification(config.seed, config.n if config.n is not None else 64)
-    _emit(dumps_verification(summary), config.output_path)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    summary = run_verification(args.seed, args.n)
+    _emit(dumps_verification(summary), args.output_path)
     return EXIT_OK if summary["passed"] else EXIT_VERIFY_FAILED
 
 
@@ -130,11 +113,6 @@ _COMMANDS = {
     "compare": _cmd_compare,
     "verify": _cmd_verify,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute one resolved invocation; exceptions propagate to main()."""
-    return _COMMANDS[config.command](config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,18 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in ("n", "input_path", "output_path", "theta", "signs", "points", "marked", "max_steps", "seed"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
-    return config
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run(_config_from_args(args))
+        return _COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

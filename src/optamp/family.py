@@ -31,6 +31,27 @@ TWO_PI = 2.0 * math.pi
 DENSE_CAP_DEFAULT = 4096
 
 
+def reduce_angle(theta: float) -> float:
+    """``theta`` modulo 2*pi in [0, 2*pi); float % can round a tiny negative angle up to 2*pi."""
+    reduced = theta % TWO_PI
+    return 0.0 if reduced >= TWO_PI else reduced
+
+
+def _block(n: int, theta, s0: int):
+    """The family formula, for one angle or a numpy array of angles.
+
+    With S = sum(a[1:]), every member maps component 0 to p*a[0] + q*S and
+    each other component i to eps2 * (a[i] + c(a)), c(a) = r*a[0] + t*S.
+    On span{e0, w}, w the uniform unit vector over slots 1..n-1, in the
+    coordinates (a[0], S/sqrt(n-1)), that is the 2x2 block
+    diag(s0, eps2) @ [[cos, sin], [sin, -cos]]; on the rest of the space it
+    is eps2 * I.
+    """
+    cos = np.cos(theta)
+    r = np.sin(theta) / math.sqrt(n - 1)
+    return s0 * cos, s0 * r, r, -(1.0 + cos) / (n - 1)
+
+
 @dataclass(frozen=True)
 class SignChoice:
     """The five +/-1 signs selecting a member of the operator family.
@@ -54,9 +75,15 @@ class SignChoice:
                 raise ParameterOutOfRange(f"{name} must be -1 or +1, got {value!r}")
 
     @property
+    def effective(self) -> tuple[int, int]:
+        """``(s0, eps2)`` with s0 = eps1*eps3*eps4: all the operator depends on, so
+        the 32 patterns form four operator classes of eight (eps5 is inert)."""
+        return self.eps1 * self.eps3 * self.eps4, self.eps2
+
+    @property
     def admits_reflection(self) -> bool:
         """True when the member can be written as eps2 * (1 - 2|u><u|)."""
-        return self.eps2 == self.eps1 * self.eps4 * self.eps3
+        return self.effective[0] == self.eps2
 
     @classmethod
     def all_plus(cls) -> SignChoice:
@@ -107,23 +134,21 @@ class AmplifierSpec:
             raise DimensionError(f"dimension must be at least 2, got {self.n}")
         if not math.isfinite(self.theta):
             raise ParameterOutOfRange(f"theta must be finite, got {self.theta!r}")
-        reduced = self.theta % TWO_PI
-        if reduced >= TWO_PI:  # float % can round up to the modulus itself
-            reduced = 0.0
-        object.__setattr__(self, "theta", reduced)
+        object.__setattr__(self, "theta", reduce_angle(self.theta))
 
     @property
     def beta0(self) -> float:
-        return self.signs.eps3 * math.cos(self.theta)
+        """eps3 * cos(theta): the ``p`` of :func:`_block` with eps3 in place of s0."""
+        return _block(self.n, self.theta, self.signs.eps3)[0]
 
     @property
     def gamma0(self) -> float:
-        return math.sin(self.theta) / math.sqrt(self.n - 1)
+        return _block(self.n, self.theta, self.signs.eps3)[2]
 
     @property
     def gamma_i(self) -> float:
         """Shared coefficient of components 1..n-1 inside the c functional."""
-        return -(1.0 + self.signs.eps3 * self.beta0) / (self.n - 1)
+        return _block(self.n, self.theta, self.signs.eps3)[3]
 
     @property
     def eta0(self) -> float:
@@ -189,14 +214,14 @@ def _require_same_dimension(spec: AmplifierSpec, a: StateVector) -> None:
 
 
 def eta_functional(spec: AmplifierSpec, a: StateVector) -> float:
-    """The linear functional feeding component 0.
+    """The linear functional feeding component 0: out[0] = eps1 * (a[0] + eta(a)).
 
     eta(a) = (-1 + eps4*beta0) * a[0] + eps4*eps3*gamma0 * sum(a[1:]).
     """
     _require_same_dimension(spec, a)
-    signs = spec.signs
+    p, q, _, _ = _block(spec.n, spec.theta, spec.signs.effective[0])
     a0, tail_sum = _reduce(a.amplitudes)
-    return spec.eta0 * a0 + signs.eps4 * signs.eps3 * spec.gamma0 * tail_sum
+    return spec.signs.eps1 * (p * a0 + q * tail_sum) - a0
 
 
 def c_functional(spec: AmplifierSpec, a: StateVector) -> float:
@@ -211,15 +236,11 @@ def c_functional(spec: AmplifierSpec, a: StateVector) -> float:
 
 def _apply_array(spec: AmplifierSpec, arr: np.ndarray) -> np.ndarray:
     """O(n) evaluation on a raw array; preserves whatever norm the input has."""
-    signs = spec.signs
-    beta0 = spec.beta0
-    gamma0 = spec.gamma0
-    a0 = float(arr[0])
-    tail_sum = float(np.sum(arr[1:]))
-    eta = (-1.0 + signs.eps4 * beta0) * a0 + signs.eps4 * signs.eps3 * gamma0 * tail_sum
-    c = gamma0 * a0 - (1.0 + signs.eps3 * beta0) / (spec.n - 1) * tail_sum
-    out = signs.eps2 * (arr + c)
-    out[0] = signs.eps1 * (a0 + eta)
+    s0, eps2 = spec.signs.effective
+    p, q, r, t = _block(spec.n, spec.theta, s0)
+    a0, tail_sum = _reduce(arr)
+    out = eps2 * (arr + (r * a0 + t * tail_sum))
+    out[0] = p * a0 + q * tail_sum
     return out
 
 
@@ -242,14 +263,15 @@ def dense_matrix(spec: AmplifierSpec, cap: int = DENSE_CAP_DEFAULT) -> np.ndarra
     """
     if spec.n > cap:
         raise DenseCapExceeded(f"n={spec.n} exceeds the dense cap {cap}")
-    signs = spec.signs
     n = spec.n
-    m = np.full((n, n), signs.eps2 * spec.gamma_i)
+    s0, eps2 = spec.signs.effective
+    p, q, r, t = _block(n, spec.theta, s0)
+    m = np.full((n, n), eps2 * t)
     diag = np.arange(1, n)
-    m[diag, diag] += signs.eps2
-    m[0, 0] = signs.eps1 * signs.eps4 * spec.beta0
-    m[0, 1:] = signs.eps1 * signs.eps4 * signs.eps3 * spec.gamma0
-    m[1:, 0] = signs.eps2 * spec.gamma0
+    m[diag, diag] += eps2
+    m[0, 0] = p
+    m[0, 1:] = q
+    m[1:, 0] = eps2 * r
     return m
 
 

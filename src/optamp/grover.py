@@ -54,11 +54,19 @@ class GroverOperator:
         return np.full((self.n, self.n), 1.0 / self.n)
 
     def diffusion_matrix(self) -> np.ndarray:
-        return -np.eye(self.n) + 2.0 * self.projector()
+        """2|v><v| - 1, built in one (n, n) array."""
+        d = np.full((self.n, self.n), 2.0 / self.n)
+        d[np.diag_indices(self.n)] -= 1.0
+        return d
 
     def matrix(self) -> np.ndarray:
         """The full iteration operator, diffusion after flip."""
         return self.diffusion_matrix() @ self.flip_matrix()
+
+
+def _grover_pair(n: int) -> tuple[float, float]:
+    """Exact (cos, sin) of the classic step's rotation on span{e0, w}."""
+    return (n - 2) / n, 2.0 * math.sqrt(n - 1) / n
 
 
 def grover_iterate(a: StateVector, steps: int) -> list[TraceRow]:
@@ -76,8 +84,7 @@ def grover_iterate(a: StateVector, steps: int) -> list[TraceRow]:
     n = a.n
     x, tail_sum = _reduce(a.amplitudes)
     y = tail_sum / math.sqrt(n - 1)
-    c = (n - 2) / n
-    s = 2.0 * math.sqrt(n - 1) / n
+    c, s = _grover_pair(n)
     amp = abs(x)
     rows: list[TraceRow] = [(0, amp, amp * amp)]
     for step in range(1, steps + 1):
@@ -93,13 +100,15 @@ def corollary_equivalence_check(n: int, cap: int = DENSE_CAP_DEFAULT) -> float:
     The embedding uses the Grover sign pattern with beta0 = (n - 2)/n and
     positive gamma0; the gap should vanish to roundoff.  The classic operator
     D @ Z is built as D with column 0 negated, exact because Z = diag(-1, 1,
-    ..., 1), so the check costs O(n**2) rather than an O(n**3) product.
+    ..., 1), so the check costs O(n**2) rather than an O(n**3) product, and
+    the gap is taken in place: two (n, n) arrays at peak.
     """
-    spec = make_spec_from_beta0(n, (n - 2) / n, +1, SignChoice.grover())
-    member = dense_matrix(spec, cap=cap)
+    beta0, _ = _grover_pair(n)
+    gap = dense_matrix(make_spec_from_beta0(n, beta0, +1, SignChoice.grover()), cap=cap)
     classic = GroverOperator(n).diffusion_matrix()
     classic[:, 0] = -classic[:, 0]
-    return float(np.max(np.abs(member - classic)))
+    gap -= classic
+    return float(np.max(np.abs(gap, out=gap)))
 
 
 def dumps_trace_csv(rows: list[TraceRow]) -> str:

@@ -9,10 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, SumZero
-from .family import SignChoice, _apply_array, _reduce, make_spec
+from .family import TWO_PI, SignChoice, _apply_array, _block, _reduce, make_spec, reduce_angle
 from .state import StateVector, format_float
-
-TWO_PI = 2.0 * math.pi
 
 SWEEP_HEADER = "theta,amplitude0,probability0"
 
@@ -73,8 +71,7 @@ def optimal_theta(a: StateVector) -> float:
     a0, tail_sum = _reduce(a.amplitudes)
     if tail_sum == 0.0:
         raise SumZero("sum of components 1..n-1 is zero; component 0 is already extremal")
-    theta = math.atan2(tail_sum, a0 * math.sqrt(a.n - 1))
-    return theta % TWO_PI
+    return reduce_angle(math.atan2(tail_sum, a0 * math.sqrt(a.n - 1)))
 
 
 def amplify_optimal(
@@ -103,7 +100,7 @@ def theta_sweep(
 
     Brute-force companion to :func:`optimal_theta`: the sweep maximum never
     exceeds the optimum beyond roundoff.  Every member maps component 0 to
-    +/-(a[0]*cos(theta) + gamma0*S) with gamma0 = sin(theta)/sqrt(n-1) and
+    s0*(a[0]*cos(theta) + sin(theta)/sqrt(n-1) * S) with s0 = +/-1 and
     S = sum(a[1:]), so the magnitudes do not depend on ``signs`` and the
     sweep costs one O(n) reduction plus O(points) scalar work.  They agree
     with :func:`optamp.family.apply` at each grid angle to roundoff, not
@@ -113,13 +110,14 @@ def theta_sweep(
         raise ParameterOutOfRange(f"points must be at least 2, got {points}")
     a0, tail_sum = _reduce(a.amplitudes)
     theta = TWO_PI * np.arange(points) / points
-    amp = np.abs(a0 * np.cos(theta) + np.sin(theta) / math.sqrt(a.n - 1) * tail_sum)
+    p, q, _, _ = _block(a.n, theta, 1)
+    amp = np.abs(p * a0 + q * tail_sum)
     return list(zip(theta.tolist(), amp.tolist()))
 
 
 def is_absolute_optimal(report: AmplifyReport) -> bool:
     """True when the post-application probability of component 0 is 1 within tolerance."""
-    return report.post_probability0 >= 1.0 - ABSOLUTE_TOL
+    return report.absolute
 
 
 def dumps_sweep_csv(rows: list[SweepRow]) -> str:

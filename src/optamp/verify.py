@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 from .family import (
+    TWO_PI,
     ConditionViolated,
     ReflectionForm,
     SignChoice,
@@ -21,8 +21,6 @@ from .grover import corollary_equivalence_check, grover_apply, grover_iterate
 from .optimal import amplify_optimal, optimal_theta, theta_sweep
 from .search import SearchProblem, one_step_search
 from .state import StateVector
-
-TWO_PI = 2.0 * math.pi
 
 # Dense-backed checks (matrix reconstruction, involution products) run at a
 # clamped dimension so `verify` stays fast at any requested n.

@@ -1,12 +1,30 @@
-"""Full-vector reference loops for the O(n + k) sweep and Grover trace.
+"""Reference paths the library is held to.
 
-Each applies the operator to the whole vector at every grid angle or step,
-O(points * n) and O(steps * n).  `theta_sweep` and `grover_iterate` must
-agree with them within ``optamp.verify.FAST_PATH_TOL``.
+`apply_reference` is the family in the paper's eta/c form, written with all
+five signs and the coordinates beta0, gamma0; `optamp.family.apply` derives
+every member from its 2x2 block instead.  The two loops apply the operator
+to the whole vector at every grid angle or step, O(points * n) and
+O(steps * n); `theta_sweep` and `grover_iterate` must agree with them within
+``optamp.verify.FAST_PATH_TOL``.
 """
 
+import numpy as np
+
 from optamp import SignChoice, StateVector, grover_apply, make_spec
-from optamp.family import TWO_PI, _apply_array
+from optamp.family import TWO_PI
+
+
+def apply_reference(spec, arr: np.ndarray) -> np.ndarray:
+    signs = spec.signs
+    beta0 = spec.beta0
+    gamma0 = spec.gamma0
+    a0 = float(arr[0])
+    tail_sum = float(np.sum(arr[1:]))
+    eta = (-1.0 + signs.eps4 * beta0) * a0 + signs.eps4 * signs.eps3 * gamma0 * tail_sum
+    c = gamma0 * a0 - (1.0 + signs.eps3 * beta0) / (spec.n - 1) * tail_sum
+    out = signs.eps2 * (arr + c)
+    out[0] = signs.eps1 * (a0 + eta)
+    return out
 
 
 def reference_theta_sweep(a: StateVector, signs=None, points: int = 1000):
@@ -15,7 +33,7 @@ def reference_theta_sweep(a: StateVector, signs=None, points: int = 1000):
     rows = []
     for k in range(points):
         theta = TWO_PI * k / points
-        out = _apply_array(make_spec(a.n, theta, signs), a.amplitudes)
+        out = apply_reference(make_spec(a.n, theta, signs), a.amplitudes)
         rows.append((theta, abs(float(out[0]))))
     return rows
 

@@ -74,6 +74,18 @@ def test_amplify_given_optimal_theta_matches_auto(tmp_path):
     assert (tmp_path / "given.state.json").read_bytes() == (tmp_path / "auto.state.json").read_bytes()
 
 
+def test_amplify_given_theta_matches_auto_near_two_pi(tmp_path):
+    inp = tmp_path / "input.json"
+    save_state_vector(StateVector(3, [1.0, 1e-17, -2e-17]), inp)
+    auto, given = tmp_path / "auto.json", tmp_path / "given.json"
+    assert main(["amplify", "--input", str(inp), "--output", str(auto)]) == 0
+    theta_star = json.loads(auto.read_text(encoding="utf-8"))["theta_star"]
+    assert theta_star < 2 * np.pi
+    assert main(["amplify", "--input", str(inp), "--theta", repr(theta_star), "--output", str(given)]) == 0
+    assert given.read_bytes() == auto.read_bytes()
+    assert (tmp_path / "given.state.json").read_bytes() == (tmp_path / "auto.state.json").read_bytes()
+
+
 def test_oversized_integer_amplitude_exits_2(tmp_path, capsys):
     bad = tmp_path / "huge.json"
     bad.write_text('{"n": 2, "amplitudes": [%s, 0]}' % ("1" * 400), encoding="utf-8")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import apply_reference
 
 from optamp import (
     ConditionViolated,
@@ -248,6 +249,41 @@ def test_apply_output_is_normalized():
         spec = make_spec(n, float(rng.uniform(0, 2 * math.pi)), ALL_PLUS)
         out = apply(spec, random_unit(rng, n))
         assert abs(out.norm() - 1.0) < 1e-10
+
+
+# Largest entry gap allowed between `apply` and the paper's eta/c form.
+REFERENCE_TOL = 1e-12
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 64, 1024))
+def test_apply_matches_paper_reference(n):
+    rng = np.random.default_rng(n)
+    vec = random_unit(rng, n)
+    for theta in (0.0, math.pi, float(rng.uniform(0, 2 * math.pi))):
+        for signs in SignChoice.enumerate():
+            spec = make_spec(n, theta, signs)
+            gap = np.max(np.abs(apply(spec, vec).amplitudes - apply_reference(spec, vec.amplitudes)))
+            assert gap <= REFERENCE_TOL
+
+
+@pytest.mark.parametrize("n", (2, 3, 7, 64))
+def test_sign_patterns_collapse_to_four_operators(n):
+    rng = np.random.default_rng(n)
+    for theta in (0.0, math.pi / 3, math.pi, float(rng.uniform(0, 2 * math.pi))):
+        classes = {}
+        for signs in SignChoice.enumerate():
+            classes.setdefault(signs.effective, []).append(dense_matrix(make_spec(n, theta, signs)))
+        assert sorted(classes) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+        for members in classes.values():
+            assert len(members) == 8
+            assert all(np.max(np.abs(m - members[0])) == 0.0 for m in members)
+
+
+def test_admits_reflection_is_s0_equals_eps2():
+    for signs in SignChoice.enumerate():
+        s0, eps2 = signs.effective
+        assert s0 == signs.eps1 * signs.eps3 * signs.eps4 and eps2 == signs.eps2
+        assert signs.admits_reflection == (s0 == eps2)
 
 
 # ---------------------------------------------------------------------------

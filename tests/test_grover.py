@@ -147,6 +147,12 @@ def test_flip_and_diffusion_matrices_are_involutions():
     assert np.max(np.abs(d @ d - np.eye(6))) < 1e-12
 
 
+def test_diffusion_matrix_is_bit_identical_to_projector_form():
+    for n in (2, 3, 7, 256, 1000):
+        op = GroverOperator(n)
+        assert np.array_equal(op.diffusion_matrix(), -np.eye(n) + 2.0 * op.projector())
+
+
 def test_projector_is_idempotent():
     p = GroverOperator(5).projector()
     assert np.max(np.abs(p @ p - p)) < 1e-12

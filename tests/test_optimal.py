@@ -85,6 +85,12 @@ def test_amplify_uniform_four_reaches_certainty():
     assert report.pre_amplitude0 == 0.5
 
 
+def test_optimal_theta_stays_below_two_pi():
+    # atan2 gives a tiny negative angle here, which % 2*pi rounds up to 2*pi
+    theta = optimal_theta(StateVector(3, [1.0, 1e-17, -2e-17]))
+    assert 0.0 <= theta < 2 * math.pi
+
+
 def test_amplify_three_dim_example():
     # closed forms: amplitude sqrt(0.36 + 0.64/2), tail (0.4, -0.4) under eps2 = +1
     out, report = amplify_optimal(StateVector(3, [0.6, 0.8, 0.0]))
