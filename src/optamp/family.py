@@ -24,11 +24,15 @@ from itertools import product
 import numpy as np
 
 from .errors import DenseCapExceeded, DimensionError, ParameterOutOfRange
-from .state import StateVector
+from .state import StateVector, _reduce
 
 TWO_PI = 2.0 * math.pi
 
 DENSE_CAP_DEFAULT = 4096
+
+# From |theta| = 2**24 up, half an ulp of theta exceeds 1e-9 rad, so the
+# angle left after reduction mod 2*pi is no longer known to that accuracy.
+_THETA_LIMIT = 2.0**24
 
 
 def reduce_angle(theta: float) -> float:
@@ -121,8 +125,9 @@ class AmplifierSpec:
     """A family member: dimension, mixing angle in [0, 2*pi), sign pattern.
 
     All coefficients below are pure functions of ``(n, theta, signs)`` and
-    recomputing them is idempotent.  ``theta`` is reduced modulo 2*pi at
-    construction so the stored angle always lies in [0, 2*pi).
+    recomputing them is idempotent.  ``theta`` must be finite with
+    |theta| < 2**24, and is reduced modulo 2*pi at construction so the
+    stored angle always lies in [0, 2*pi).
     """
 
     n: int
@@ -134,6 +139,11 @@ class AmplifierSpec:
             raise DimensionError(f"dimension must be at least 2, got {self.n}")
         if not math.isfinite(self.theta):
             raise ParameterOutOfRange(f"theta must be finite, got {self.theta!r}")
+        if abs(self.theta) >= _THETA_LIMIT:
+            raise ParameterOutOfRange(
+                "|theta| must be below 2**24, past which its value mod 2*pi is off by "
+                f"over 1e-9 rad; got {self.theta!r}"
+            )
         object.__setattr__(self, "theta", reduce_angle(self.theta))
 
     @property
@@ -202,12 +212,6 @@ def make_spec_from_beta0(
     return AmplifierSpec(n, theta, signs)
 
 
-def _reduce(arr: np.ndarray) -> tuple[float, float]:
-    """The pair ``(a[0], sum(a[1:]))``: all that component 0 of any member's
-    output depends on, computed in one O(n) pass."""
-    return float(arr[0]), float(np.sum(arr[1:]))
-
-
 def _require_same_dimension(spec: AmplifierSpec, a: StateVector) -> None:
     if a.n != spec.n:
         raise DimensionError(f"state has dimension {a.n}, spec expects {spec.n}")
@@ -220,7 +224,7 @@ def eta_functional(spec: AmplifierSpec, a: StateVector) -> float:
     """
     _require_same_dimension(spec, a)
     p, q, _, _ = _block(spec.n, spec.theta, spec.signs.effective[0])
-    a0, tail_sum = _reduce(a.amplitudes)
+    a0, tail_sum = a._reduced
     return spec.signs.eps1 * (p * a0 + q * tail_sum) - a0
 
 
@@ -230,16 +234,26 @@ def c_functional(spec: AmplifierSpec, a: StateVector) -> float:
     c(a) = gamma0 * a[0] - (1 + eps3*beta0)/(n - 1) * sum(a[1:]).
     """
     _require_same_dimension(spec, a)
-    a0, tail_sum = _reduce(a.amplitudes)
+    a0, tail_sum = a._reduced
     return spec.gamma0 * a0 + spec.gamma_i * tail_sum
 
 
-def _apply_array(spec: AmplifierSpec, arr: np.ndarray) -> np.ndarray:
-    """O(n) evaluation on a raw array; preserves whatever norm the input has."""
+def _apply_array(
+    spec: AmplifierSpec, arr: np.ndarray, reduced: tuple[float, float] | None = None
+) -> np.ndarray:
+    """O(n) evaluation on a raw array; preserves whatever norm the input has.
+
+    ``reduced`` is ``(arr[0], sum(arr[1:]))`` when the caller has it.  The
+    output is one new array written in one pass, negated in place when
+    eps2 == -1: bit-identical to eps2 * (arr + c), signed zeros included,
+    which (-c) - arr would not be.
+    """
     s0, eps2 = spec.signs.effective
     p, q, r, t = _block(spec.n, spec.theta, s0)
-    a0, tail_sum = _reduce(arr)
-    out = eps2 * (arr + (r * a0 + t * tail_sum))
+    a0, tail_sum = _reduce(arr) if reduced is None else reduced
+    out = arr + (r * a0 + t * tail_sum)
+    if eps2 == -1:
+        np.negative(out, out=out)
     out[0] = p * a0 + q * tail_sum
     return out
 
@@ -252,7 +266,7 @@ def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
     norm equals the input norm up to roundoff.
     """
     _require_same_dimension(spec, a)
-    return StateVector.unnormalized(spec.n, _apply_array(spec, a.amplitudes))
+    return StateVector._adopt(spec.n, _apply_array(spec, a.amplitudes, a._reduced))
 
 
 def dense_matrix(spec: AmplifierSpec, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
@@ -296,5 +310,5 @@ def reflection_form(spec: AmplifierSpec) -> ReflectionForm | ConditionViolated:
 def isometry_residual(spec: AmplifierSpec, a: StateVector) -> float:
     """| ||U a||^2 - ||a||^2 |, the certificate of norm preservation."""
     _require_same_dimension(spec, a)
-    out = _apply_array(spec, a.amplitudes)
+    out = _apply_array(spec, a.amplitudes, a._reduced)
     return abs(float(out @ out) - float(a.amplitudes @ a.amplitudes))

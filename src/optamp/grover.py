@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterOutOfRange
-from .family import DENSE_CAP_DEFAULT, SignChoice, _reduce, dense_matrix, make_spec_from_beta0
+from .family import DENSE_CAP_DEFAULT, SignChoice, dense_matrix, make_spec_from_beta0
 from .state import StateVector, format_float
 
 TRACE_HEADER = "step,amplitude0,probability0"
@@ -20,13 +20,13 @@ def flip_operator_apply(a: StateVector) -> StateVector:
     """Negate component 0 and leave the rest untouched; self-inverse."""
     out = a.amplitudes.copy()
     out[0] = -out[0]
-    return StateVector.unnormalized(a.n, out)
+    return StateVector._adopt(a.n, out)
 
 
 def diffusion_apply(a: StateVector) -> StateVector:
     """Reflect about the uniform superposition: a_i -> 2*mean(a) - a_i."""
     arr = a.amplitudes
-    return StateVector.unnormalized(a.n, 2.0 * float(np.mean(arr)) - arr)
+    return StateVector._adopt(a.n, 2.0 * float(np.mean(arr)) - arr)
 
 
 def grover_apply(a: StateVector) -> StateVector:
@@ -82,7 +82,7 @@ def grover_iterate(a: StateVector, steps: int) -> list[TraceRow]:
     if steps < 0:
         raise ParameterOutOfRange(f"steps must be nonnegative, got {steps}")
     n = a.n
-    x, tail_sum = _reduce(a.amplitudes)
+    x, tail_sum = a._reduced
     y = tail_sum / math.sqrt(n - 1)
     c, s = _grover_pair(n)
     amp = abs(x)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, SumZero
-from .family import TWO_PI, SignChoice, _apply_array, _block, _reduce, make_spec, reduce_angle
+from .family import TWO_PI, SignChoice, _apply_array, _block, make_spec, reduce_angle
 from .state import StateVector, format_float
 
 SWEEP_HEADER = "theta,amplitude0,probability0"
@@ -68,7 +68,7 @@ def optimal_theta(a: StateVector) -> float:
     returned in [0, 2*pi).  Raises :class:`SumZero` when sum(a[1:]) == 0:
     no family member can then increase component 0 at all.
     """
-    a0, tail_sum = _reduce(a.amplitudes)
+    a0, tail_sum = a._reduced
     if tail_sum == 0.0:
         raise SumZero("sum of components 1..n-1 is zero; component 0 is already extremal")
     return reduce_angle(math.atan2(tail_sum, a0 * math.sqrt(a.n - 1)))
@@ -82,15 +82,16 @@ def amplify_optimal(
     With S = sum(a[1:]), component 0 afterwards carries magnitude
     sqrt(a[0]**2 + S**2/(n-1)) and every other component i holds
     eps2 * (a[i] - S/(n-1)): the mean of the off-0 components is subtracted
-    from each, and the freed weight lands on component 0.
+    from each, and the freed weight lands on component 0.  The angle and the
+    operator share one reduction of ``a``.
     """
     if signs is None:
         signs = SignChoice.all_plus()
     theta_star = optimal_theta(a)
     spec = make_spec(a.n, theta_star, signs)
-    out = _apply_array(spec, a.amplitudes)
+    out = _apply_array(spec, a.amplitudes, a._reduced)
     report = AmplifyReport.from_arrays(theta_star, a.amplitudes, out)
-    return StateVector.unnormalized(a.n, out), report
+    return StateVector._adopt(a.n, out), report
 
 
 def theta_sweep(
@@ -108,7 +109,7 @@ def theta_sweep(
     """
     if points < 2:
         raise ParameterOutOfRange(f"points must be at least 2, got {points}")
-    a0, tail_sum = _reduce(a.amplitudes)
+    a0, tail_sum = a._reduced
     theta = TWO_PI * np.arange(points) / points
     p, q, _, _ = _block(a.n, theta, 1)
     amp = np.abs(p * a0 + q * tail_sum)

@@ -48,7 +48,7 @@ def relabel_apply(p: SearchProblem, a: StateVector) -> StateVector:
         raise DimensionError(f"state has dimension {a.n}, problem expects {p.n}")
     out = a.amplitudes.copy()
     out[0], out[p.marked] = out[p.marked], out[0]
-    return StateVector.unnormalized(a.n, out)
+    return StateVector._adopt(a.n, out)
 
 
 def relabel_matrix(p: SearchProblem) -> np.ndarray:

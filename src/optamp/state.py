@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,14 +19,46 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _reduce(arr: np.ndarray) -> tuple[float, float]:
+    """The pair ``(a[0], sum(a[1:]))``: all that component 0 of any family
+    member's output depends on, computed in one O(n) pass."""
+    return float(arr[0]), float(np.sum(arr[1:]))
+
+
+def _squared_norm(arr: np.ndarray) -> float:
+    """sum(a_i^2) in one pass; raises StateFormatError on a non-finite entry.
+
+    A finite sum proves every entry finite.  Only a non-finite sum needs the
+    entrywise check, to tell a NaN or infinity from finite squares that
+    overflow, such as (1e200, 1e200).
+    """
+    with np.errstate(over="ignore"):
+        sq = float(arr @ arr)
+    if not math.isfinite(sq) and not np.isfinite(arr).all():
+        raise StateFormatError("amplitudes must all be finite")
+    return sq
+
+
+class _Adopted:
+    """A float64 array the library has just allocated and no one else holds."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Vector of real amplitudes, unit norm by default.
 
-    The constructor enforces sum(a_i^2) == 1 within ``NORM_TOL``.  Use
-    :meth:`unnormalized` for intermediate values (linear combinations,
-    operator outputs) whose norm is established elsewhere.  The amplitude
-    array is read-only, so instances can be shared freely across threads.
+    The constructor copies its input and enforces sum(a_i^2) == 1 within
+    ``NORM_TOL``.  Use :meth:`unnormalized` for intermediate values (linear
+    combinations, operator outputs) whose norm is established elsewhere.
+    Operator outputs (``apply``, ``amplify_optimal``, the Grover and
+    relabeling maps) adopt the array they have just built instead of copying
+    it; length and finiteness are checked either way.  The amplitude array is
+    read-only, so instances can be shared freely across threads.
     """
 
     n: int
@@ -35,20 +68,20 @@ class StateVector:
     def __post_init__(self, check_norm: bool) -> None:
         if self.n < 2:
             raise DimensionError(f"dimension must be at least 2, got {self.n}")
-        try:
-            arr = np.array(self.amplitudes, dtype=np.float64)
-        except OverflowError as exc:
-            raise StateFormatError(f"amplitudes must fit in a float64: {exc}") from exc
+        if isinstance(self.amplitudes, _Adopted):
+            arr = self.amplitudes.array
+        else:
+            try:
+                arr = np.array(self.amplitudes, dtype=np.float64)
+            except OverflowError as exc:
+                raise StateFormatError(f"amplitudes must fit in a float64: {exc}") from exc
         if arr.ndim != 1 or arr.shape[0] != self.n:
             raise DimensionError(f"expected {self.n} amplitudes, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise StateFormatError("amplitudes must all be finite")
-        if check_norm:
-            sq = float(arr @ arr)
-            if abs(sq - 1.0) > NORM_TOL:
-                raise NormalizationError(
-                    f"squared norm {sq!r} deviates from 1 by more than {NORM_TOL}"
-                )
+        sq = _squared_norm(arr)
+        if check_norm and abs(sq - 1.0) > NORM_TOL:
+            raise NormalizationError(
+                f"squared norm {sq!r} deviates from 1 by more than {NORM_TOL}"
+            )
         arr.flags.writeable = False
         object.__setattr__(self, "amplitudes", arr)
 
@@ -56,6 +89,18 @@ class StateVector:
     def unnormalized(cls, n: int, amplitudes) -> StateVector:
         """Construct without the unit-norm check; length and finiteness still apply."""
         return cls(n, amplitudes, check_norm=False)
+
+    @classmethod
+    def _adopt(cls, n: int, arr: np.ndarray) -> StateVector:
+        """:meth:`unnormalized` without the copy, for a float64 array the caller
+        has just allocated and drops; the array becomes read-only in place.
+        It goes through the constructor, so the checks stay in one place."""
+        return cls(n, _Adopted(arr), check_norm=False)
+
+    @cached_property
+    def _reduced(self) -> tuple[float, float]:
+        """``(a[0], sum(a[1:]))``, reduced once per vector; the array is read-only."""
+        return _reduce(self.amplitudes)
 
     @classmethod
     def uniform(cls, n: int) -> StateVector:

@@ -1,11 +1,15 @@
 """CLI surface: commands, artifact files, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optamp import StateVector, load_state_vector, save_state_vector
 from optamp.cli import main
@@ -99,6 +103,41 @@ def test_amplify_sum_zero_input_is_parameter_error(tmp_path, capsys):
     save_state_vector(StateVector.basis(4, 0), path)
     assert main(["amplify", "--input", str(path)]) == 2
     assert "zero" in capsys.readouterr().err
+
+
+def test_amplify_theta_too_large_to_reduce_exits_2(capsys):
+    assert main(["amplify", "--n", "4", "--theta", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2**24" in err
+
+
+def test_amplify_large_theta_below_limit_is_accepted(capsys):
+    assert main(["amplify", "--n", "4", "--theta", "1e7"]) == 0
+    assert 0.0 <= json.loads(capsys.readouterr().out)["theta_star"] < 2 * np.pi
+
+
+theta_texts = st.one_of(
+    st.text(max_size=24),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["auto", "nan", "-inf", "1e308", "16777216", "-16777215.999999998", " 1e7 ", ""]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta_texts)
+def test_amplify_any_theta_text_exits_0_or_2(text):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(["amplify", "--n", "4", f"--theta={text}"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("\n") == 1
 
 
 def test_malformed_input_file_exits_2(tmp_path, capsys):

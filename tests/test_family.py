@@ -109,6 +109,16 @@ def test_make_spec_rejects_bad_inputs():
         make_spec(4, float("nan"), ALL_PLUS)
 
 
+def test_make_spec_rejects_angles_whose_ulp_is_too_coarse():
+    # Half an ulp of theta exceeds 1e-9 rad from 2**24 up.
+    for theta in (2.0**24, -(2.0**24), 1e308):
+        with pytest.raises(ParameterOutOfRange):
+            make_spec(4, theta, ALL_PLUS)
+    below = math.nextafter(2.0**24, 0.0)
+    assert math.ulp(below) / 2 <= 1e-9 < math.ulp(2.0**24) / 2
+    assert 0.0 <= make_spec(4, -below, ALL_PLUS).theta < 2 * math.pi
+
+
 def test_derived_coefficients_are_idempotent():
     spec = make_spec(8, 1.2345, GROVER)
     assert spec.beta0 == spec.beta0

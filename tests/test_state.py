@@ -1,6 +1,7 @@
 """StateVector construction, invariants, and the JSON file format."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ import pytest
 from optamp import (
     DimensionError,
     NormalizationError,
+    SignChoice,
     StateFormatError,
     StateVector,
+    apply,
     dumps_state_vector,
     load_state_vector,
     loads_state_vector,
+    make_spec,
     save_state_vector,
 )
 
@@ -65,6 +69,23 @@ def test_non_finite_rejected_even_unnormalized():
         StateVector.unnormalized(2, [1.0, float("nan")])
     with pytest.raises(StateFormatError):
         StateVector.unnormalized(2, [float("inf"), 0.0])
+
+
+def test_overflowing_squares_are_finite_input_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = StateVector.unnormalized(2, [1e200, 1e200])
+        assert vec.amplitudes[0] == 1e200
+        with pytest.raises(NormalizationError):
+            StateVector(2, [1e200, 1e200])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_operator_output_with_non_finite_entries_is_rejected():
+    # The input is finite, but sum(a[1:]) overflows to inf, so the output is not.
+    vec = StateVector.unnormalized(3, [1e308] * 3)
+    with pytest.raises(StateFormatError):
+        apply(make_spec(3, 0.5, SignChoice.all_plus()), vec)
 
 
 def test_normalized_helper():
