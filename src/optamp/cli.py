@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -14,7 +14,7 @@ from .family import apply as apply_spec
 from .grover import dumps_trace_csv, grover_iterate
 from .optimal import AmplifyReport, amplify_optimal, dumps_sweep_csv, theta_sweep
 from .search import SearchProblem, compare_with_grover, one_step_search
-from .state import StateVector, dumps_state_vector, load_state_vector
+from .state import StateVector, _dumps_json, _write_text, dumps_state_vector, load_state_vector
 from .verify import dumps_verification, run_verification
 
 EXIT_OK = 0
@@ -26,8 +26,7 @@ def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(path, text)
 
 
 def _state_sibling(path: str) -> str:
@@ -87,7 +86,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "amplitude": amplitude,
         "probability": amplitude**2,
     }
-    _emit(json.dumps(obj, indent=2) + "\n", args.output_path)
+    _emit(_dumps_json(obj), args.output_path)
     return EXIT_OK
 
 
@@ -146,6 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="mixing angle in radians, or 'auto' for the optimal one (default auto); "
         "with --output, the post vector lands next to the report as *.state.json",
     )
+    # Else argparse, whose negative-number pattern has no exponent, reads "-1e-3" as an option.
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     p = sub.add_parser("sweep", help="post-amplitude of component 0 over a theta grid (CSV)")
     add_io(p)

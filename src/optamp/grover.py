@@ -1,15 +1,14 @@
-"""Classic fixed-axis search: flip, diffusion about the uniform vector, their product."""
+"""Classic search: flip Z, diffusion D about the uniform vector, and D @ Z, a family member."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ParameterOutOfRange
-from .family import DENSE_CAP_DEFAULT, SignChoice, dense_matrix, make_spec_from_beta0
-from .state import StateVector, format_float
+from .family import AmplifierSpec, SignChoice, _pair_block, dense_matrix, make_spec_from_beta0
+from .state import StateVector, _write_text, format_float
 
 TRACE_HEADER = "step,amplitude0,probability0"
 
@@ -60,54 +59,45 @@ class GroverOperator:
         return d
 
     def matrix(self) -> np.ndarray:
-        """The full iteration operator, diffusion after flip."""
-        return self.diffusion_matrix() @ self.flip_matrix()
+        """The full iteration operator D @ Z: D with column 0 negated, exact
+        because Z = diag(-1, 1, ..., 1), and O(n**2) instead of a product."""
+        m = self.diffusion_matrix()
+        m[:, 0] = -m[:, 0]
+        return m
 
 
-def _grover_pair(n: int) -> tuple[float, float]:
-    """Exact (cos, sin) of the classic step's rotation on span{e0, w}."""
-    return (n - 2) / n, 2.0 * math.sqrt(n - 1) / n
+def _grover_member(n: int) -> AmplifierSpec:
+    """The family member equal to D @ Z: Grover signs, beta0 = (n - 2)/n, gamma0 > 0."""
+    return make_spec_from_beta0(n, (n - 2) / n, +1, SignChoice.grover())
 
 
 def grover_iterate(a: StateVector, steps: int) -> list[TraceRow]:
     """Iterate the search operator, recording (step, |a[0]|, a[0]**2) from step 0.
 
-    D @ Z is a rotation on span{e0, w}, with w the uniform unit vector over
-    slots 1..n-1, and -1 on its complement.  Component 0 therefore follows
-    the pair (x, y) = (a[0], sum(a[1:])/sqrt(n-1)) under the 2x2 block
-    [[c, s], [-s, c]], c = (n-2)/n, s = 2*sqrt(n-1)/n: one O(n) reduction
+    D @ Z is the family's Grover member, so component 0 follows the reduced
+    pair (a[0], sum(a[1:])) under that member's 2x2 map: one O(n) reduction
     plus O(steps) scalar work.  The trace agrees with iterated
     :func:`grover_apply` to roundoff, not bit for bit.
     """
     if steps < 0:
         raise ParameterOutOfRange(f"steps must be nonnegative, got {steps}")
-    n = a.n
+    p, q, u, v = _pair_block(_grover_member(a.n))
     x, tail_sum = a._reduced
-    y = tail_sum / math.sqrt(n - 1)
-    c, s = _grover_pair(n)
     amp = abs(x)
     rows: list[TraceRow] = [(0, amp, amp * amp)]
     for step in range(1, steps + 1):
-        x, y = c * x + s * y, c * y - s * x
+        x, tail_sum = p * x + q * tail_sum, u * x + v * tail_sum
         amp = abs(x)
         rows.append((step, amp, amp * amp))
     return rows
 
 
-def corollary_equivalence_check(n: int, cap: int = DENSE_CAP_DEFAULT) -> float:
-    """Max entrywise gap between the embedded family member and the classic operator.
-
-    The embedding uses the Grover sign pattern with beta0 = (n - 2)/n and
-    positive gamma0; the gap should vanish to roundoff.  The classic operator
-    D @ Z is built as D with column 0 negated, exact because Z = diag(-1, 1,
-    ..., 1), so the check costs O(n**2) rather than an O(n**3) product, and
-    the gap is taken in place: two (n, n) arrays at peak.
-    """
-    beta0, _ = _grover_pair(n)
-    gap = dense_matrix(make_spec_from_beta0(n, beta0, +1, SignChoice.grover()), cap=cap)
-    classic = GroverOperator(n).diffusion_matrix()
-    classic[:, 0] = -classic[:, 0]
-    gap -= classic
+def corollary_equivalence_check(n: int) -> float:
+    """Max entrywise gap between the family's Grover member and the classic
+    operator D @ Z; it should vanish to roundoff.  The gap is taken in
+    place: two (n, n) arrays at peak."""
+    gap = dense_matrix(_grover_member(n))
+    gap -= GroverOperator(n).matrix()
     return float(np.max(np.abs(gap, out=gap)))
 
 
@@ -119,5 +109,4 @@ def dumps_trace_csv(rows: list[TraceRow]) -> str:
 
 
 def write_trace_csv(rows: list[TraceRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_trace_csv(rows))
+    _write_text(path, dumps_trace_csv(rows))

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ParameterOutOfRange, SumZero
 from .family import TWO_PI, SignChoice, _apply_array, _block, make_spec, reduce_angle
-from .state import StateVector, format_float
+from .state import StateVector, _dumps_json, _write_text, format_float
 
 SWEEP_HEADER = "theta,amplitude0,probability0"
 
@@ -47,14 +46,7 @@ class AmplifyReport:
         )
 
     def to_json(self) -> str:
-        obj = {
-            "theta_star": self.theta_star,
-            "pre_amplitude0": self.pre_amplitude0,
-            "post_amplitude0": self.post_amplitude0,
-            "post_probability0": self.post_probability0,
-            "absolute": self.absolute,
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        return _dumps_json(asdict(self))
 
 
 def optimal_theta(a: StateVector) -> float:
@@ -129,5 +121,4 @@ def dumps_sweep_csv(rows: list[SweepRow]) -> str:
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_sweep_csv(rows))
+    _write_text(path, dumps_sweep_csv(rows))

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -11,7 +10,7 @@ import numpy as np
 from .errors import DimensionError, ParameterOutOfRange
 from .grover import grover_iterate
 from .optimal import amplify_optimal
-from .state import StateVector
+from .state import StateVector, _dumps_json
 
 
 @dataclass(frozen=True)
@@ -96,15 +95,7 @@ class ComparisonReport:
     grover_first_step_above_half: Optional[int]
 
     def to_json(self) -> str:
-        obj = {
-            "n": self.n,
-            "marked": self.marked,
-            "one_step_probability": self.one_step_probability,
-            "grover_peak_step": self.grover_peak_step,
-            "grover_peak_probability": self.grover_peak_probability,
-            "grover_first_step_above_half": self.grover_first_step_above_half,
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        return _dumps_json(asdict(self))
 
 
 def _first_local_max(probs: list[float]) -> int:

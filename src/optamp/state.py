@@ -19,10 +19,22 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _dumps_json(obj) -> str:
+    """The JSON artifact format shared by every report: two-space indent, final newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def _reduce(arr: np.ndarray) -> tuple[float, float]:
     """The pair ``(a[0], sum(a[1:]))``: all that component 0 of any family
-    member's output depends on, computed in one O(n) pass."""
-    return float(arr[0]), float(np.sum(arr[1:]))
+    member's output depends on, computed in one O(n) pass.  An overflowing
+    sum is inf, with no warning: the output built from it is rejected."""
+    with np.errstate(over="ignore"):
+        return float(arr[0]), float(np.sum(arr[1:]))
 
 
 def _squared_norm(arr: np.ndarray) -> float:
@@ -159,8 +171,7 @@ def loads_state_vector(text: str) -> StateVector:
 
 
 def save_state_vector(state: StateVector, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_state_vector(state))
+    _write_text(path, dumps_state_vector(state))
 
 
 def load_state_vector(path) -> StateVector:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .family import (
@@ -20,7 +18,7 @@ from .family import (
 from .grover import corollary_equivalence_check, grover_apply, grover_iterate
 from .optimal import amplify_optimal, optimal_theta, theta_sweep
 from .search import SearchProblem, one_step_search
-from .state import StateVector
+from .state import StateVector, _dumps_json
 
 # Dense-backed checks (matrix reconstruction, involution products) run at a
 # clamped dimension so `verify` stays fast at any requested n.
@@ -172,4 +170,4 @@ def run_verification(seed: int, n: int, cases: int = 100) -> dict:
 
 
 def dumps_verification(summary: dict) -> str:
-    return json.dumps(summary, indent=2) + "\n"
+    return _dumps_json(summary)

@@ -117,6 +117,16 @@ def test_amplify_large_theta_below_limit_is_accepted(capsys):
     assert 0.0 <= json.loads(capsys.readouterr().out)["theta_star"] < 2 * np.pi
 
 
+@pytest.mark.parametrize("theta", ["-1e-3", "-2.5E+1", "-.5e1", "-0.5", "-3"])
+def test_amplify_negative_theta_as_separate_argument(capsys, theta):
+    # argparse's own negative-number pattern has no exponent form; without the
+    # wider one the CLI sets, "-1e-3" is taken for an option and exits 2.
+    assert main(["amplify", "--n", "4", "--theta", theta]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["amplify", "--n", "4", f"--theta={theta}"]) == 0
+    assert capsys.readouterr().out == spaced
+
+
 theta_texts = st.one_of(
     st.text(max_size=24),
     st.floats().map(repr),

@@ -20,6 +20,7 @@ from optamp import (
     grover_apply,
     grover_iterate,
     make_spec,
+    make_spec_from_beta0,
     relabel_apply,
     theta_sweep,
 )
@@ -59,6 +60,14 @@ def test_trace_matches_reference(n):
     for vec in vectors(n):
         for steps in (0, 1, math.ceil(2.0 * math.sqrt(n))):
             assert_rows_close(grover_iterate(vec, steps), reference_grover_iterate(vec, steps))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_trace_first_step_is_the_grover_member(n):
+    member = make_spec_from_beta0(n, (n - 2) / n, +1, SignChoice.grover())
+    for vec in vectors(n):
+        _, amp, _ = grover_iterate(vec, 1)[1]
+        assert abs(amp - abs(float(apply(member, vec).amplitudes[0]))) <= FAST_PATH_TOL
 
 
 def test_uniform_two_trace_never_exceeds_half():

@@ -153,6 +153,14 @@ def test_diffusion_matrix_is_bit_identical_to_projector_form():
         assert np.array_equal(op.diffusion_matrix(), -np.eye(n) + 2.0 * op.projector())
 
 
+def test_matrix_equals_the_dense_product():
+    # Equal entry for entry; at n = 2 one zero differs in sign, which
+    # array_equal does not see.
+    for n in (2, 3, 7, 256, 1000):
+        op = GroverOperator(n)
+        assert np.array_equal(op.matrix(), op.diffusion_matrix() @ op.flip_matrix())
+
+
 def test_projector_is_idempotent():
     p = GroverOperator(5).projector()
     assert np.max(np.abs(p @ p - p)) < 1e-12

@@ -80,7 +80,6 @@ def test_overflowing_squares_are_finite_input_without_warnings():
             StateVector(2, [1e200, 1e200])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_operator_output_with_non_finite_entries_is_rejected():
     # The input is finite, but sum(a[1:]) overflows to inf, so the output is not.
     vec = StateVector.unnormalized(3, [1e308] * 3)
