@@ -214,11 +214,11 @@ def make_spec_from_beta0(
 
 def _pair_block(spec: AmplifierSpec) -> tuple[float, float, float, float]:
     """``(p, q, u, v)``: the member maps the pair (a[0], S) to (p*a0 + q*S, u*a0 + v*S),
-    the new S being the sum of eps2 * (a[i] + c(a)) over slots 1..n-1."""
+    the new S being the sum of eps2 * (a[i] + c(a)) over slots 1..n-1.  v is
+    -eps2*cos, taken from p to avoid the cancellation in eps2 * (1 + (n-1)*t)."""
     s0, eps2 = spec.signs.effective
-    p, q, r, t = _block(spec.n, spec.theta, s0)
-    m = spec.n - 1
-    return tuple(float(x) for x in (p, q, eps2 * m * r, eps2 * (1.0 + m * t)))
+    p, q, r, _ = _block(spec.n, spec.theta, s0)
+    return tuple(float(x) for x in (p, q, eps2 * (spec.n - 1) * r, -eps2 * s0 * p))
 
 
 def _require_same_dimension(spec: AmplifierSpec, a: StateVector) -> None:

@@ -20,14 +20,14 @@ from optamp import (
     grover_apply,
     grover_iterate,
     make_spec,
-    make_spec_from_beta0,
     relabel_apply,
     theta_sweep,
 )
 from optamp.family import TWO_PI, _block
 from optamp.verify import FAST_PATH_TOL
 
-SIZES = (2, 3, 4, 5, 8, 1024, 65536)
+# 99991 is prime: (n - 2)/n and its square are inexact there, unlike at 2**k.
+SIZES = (2, 3, 4, 5, 8, 1024, 65536, 99991)
 
 # Traced peak allowed for one operator call, in units of the 8n-byte output.
 # One output array is 1.0; a second full-size temporary or copy makes it 2.
@@ -58,16 +58,8 @@ def test_sweep_matches_reference(n):
 @pytest.mark.parametrize("n", SIZES)
 def test_trace_matches_reference(n):
     for vec in vectors(n):
-        for steps in (0, 1, math.ceil(2.0 * math.sqrt(n))):
+        for steps in (0, 1, math.ceil(2.0 * math.sqrt(n)), 3000):
             assert_rows_close(grover_iterate(vec, steps), reference_grover_iterate(vec, steps))
-
-
-@pytest.mark.parametrize("n", SIZES)
-def test_trace_first_step_is_the_grover_member(n):
-    member = make_spec_from_beta0(n, (n - 2) / n, +1, SignChoice.grover())
-    for vec in vectors(n):
-        _, amp, _ = grover_iterate(vec, 1)[1]
-        assert abs(amp - abs(float(apply(member, vec).amplitudes[0]))) <= FAST_PATH_TOL
 
 
 def test_uniform_two_trace_never_exceeds_half():
