@@ -114,8 +114,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one ``error:`` line, like every other bad input;
+    subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="optamp",
         description="Amplitude amplification operators, optimal-angle selection, "
         "and one-step marked-item search.",
@@ -185,7 +193,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,15 +10,17 @@ coordinates describe it completely:
 * ``gamma0`` = sin(theta) / sqrt(n - 1), the cross-coupling weight;
 
 which always satisfy (n - 1) * gamma0**2 + beta0**2 == 1, so the pair
-traces an ellipse as theta sweeps [0, 2*pi).  Exactly half of the 32 sign
-patterns make the operator a signed Householder reflection with a closed
-form axis; `reflection_form` extracts it.
+traces an ellipse as theta sweeps [0, 2*pi).  A member keeps (cos(theta),
+sin(theta)) beside theta, taken once from it or given exactly (the Grover
+member, `make_spec_from_beta0`); every coefficient is arithmetic on them.
+Exactly half of the 32 sign patterns make the operator a signed Householder
+reflection with a closed form axis; `reflection_form` extracts it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -41,8 +43,8 @@ def reduce_angle(theta: float) -> float:
     return 0.0 if reduced >= TWO_PI else reduced
 
 
-def _block(n: int, theta, s0: int):
-    """The family formula, for one angle or a numpy array of angles.
+def _block(n: int, cos, sin, s0: int):
+    """The family formula from a member's stored (cos, sin), or a grid's arrays; no trig.
 
     With S = sum(a[1:]), every member maps component 0 to p*a[0] + q*S and
     each other component i to eps2 * (a[i] + c(a)), c(a) = r*a[0] + t*S.
@@ -51,8 +53,7 @@ def _block(n: int, theta, s0: int):
     diag(s0, eps2) @ [[cos, sin], [sin, -cos]]; on the rest of the space it
     is eps2 * I.
     """
-    cos = np.cos(theta)
-    r = np.sin(theta) / math.sqrt(n - 1)
+    r = sin / math.sqrt(n - 1)
     return s0 * cos, s0 * r, r, -(1.0 + cos) / (n - 1)
 
 
@@ -124,15 +125,17 @@ class SignChoice:
 class AmplifierSpec:
     """A family member: dimension, mixing angle in [0, 2*pi), sign pattern.
 
-    All coefficients below are pure functions of ``(n, theta, signs)`` and
-    recomputing them is idempotent.  ``theta`` must be finite with
-    |theta| < 2**24, and is reduced modulo 2*pi at construction so the
-    stored angle always lies in [0, 2*pi).
+    ``theta`` must be finite with |theta| < 2**24, and is reduced modulo
+    2*pi at construction so the stored angle always lies in [0, 2*pi).
+    ``cos`` and ``sin`` are taken from it once, here, or given exactly by a
+    builder; every coefficient below is arithmetic on them.
     """
 
     n: int
     theta: float
     signs: SignChoice
+    cos: float = field(init=False)
+    sin: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -145,20 +148,22 @@ class AmplifierSpec:
                 f"over 1e-9 rad; got {self.theta!r}"
             )
         object.__setattr__(self, "theta", reduce_angle(self.theta))
+        object.__setattr__(self, "cos", float(np.cos(self.theta)))
+        object.__setattr__(self, "sin", float(np.sin(self.theta)))
 
     @property
     def beta0(self) -> float:
         """eps3 * cos(theta): the ``p`` of :func:`_block` with eps3 in place of s0."""
-        return _block(self.n, self.theta, self.signs.eps3)[0]
+        return _block(self.n, self.cos, self.sin, self.signs.eps3)[0]
 
     @property
     def gamma0(self) -> float:
-        return _block(self.n, self.theta, self.signs.eps3)[2]
+        return _block(self.n, self.cos, self.sin, self.signs.eps3)[2]
 
     @property
     def gamma_i(self) -> float:
         """Shared coefficient of components 1..n-1 inside the c functional."""
-        return _block(self.n, self.theta, self.signs.eps3)[3]
+        return _block(self.n, self.cos, self.sin, self.signs.eps3)[3]
 
     @property
     def eta0(self) -> float:
@@ -199,17 +204,25 @@ def make_spec_from_beta0(
 ) -> AmplifierSpec:
     """Build a family member from beta0 and the sign of gamma0.
 
-    Recovers the angle via cos(theta) = eps3 * beta0 with sin(theta) signed
-    by ``sign_gamma0``; round-trips with :func:`make_spec` up to roundoff.
+    Keeps cos(theta) = eps3 * beta0 as given, so the member's beta0 is exact,
+    and sin(theta) = sqrt((1 - beta0)*(1 + beta0)) signed by ``sign_gamma0``;
+    round-trips with :func:`make_spec` up to roundoff.
     """
     if abs(beta0) > 1.0:
         raise ParameterOutOfRange(f"|beta0| must not exceed 1, got {beta0!r}")
     if sign_gamma0 not in (-1, 1):
         raise ParameterOutOfRange(f"sign_gamma0 must be -1 or +1, got {sign_gamma0!r}")
-    theta = math.atan2(
-        sign_gamma0 * math.sqrt(1.0 - beta0 * beta0), signs.eps3 * beta0
-    )
-    return AmplifierSpec(n, theta, signs)
+    sin = sign_gamma0 * math.sqrt((1.0 - beta0) * (1.0 + beta0))
+    return _spec_from_pair(n, signs.eps3 * beta0, sin, signs)
+
+
+def _spec_from_pair(n: int, cos: float, sin: float, signs: SignChoice) -> AmplifierSpec:
+    """The member with the exact unit pair (cos(theta), sin(theta)), stored as
+    given instead of recomputed from the rounded theta = atan2(sin, cos)."""
+    spec = AmplifierSpec(n, math.atan2(sin, cos), signs)
+    object.__setattr__(spec, "cos", cos)
+    object.__setattr__(spec, "sin", sin)
+    return spec
 
 
 def _pair_block(spec: AmplifierSpec) -> tuple[float, float, float, float]:
@@ -217,8 +230,8 @@ def _pair_block(spec: AmplifierSpec) -> tuple[float, float, float, float]:
     the new S being the sum of eps2 * (a[i] + c(a)) over slots 1..n-1.  v is
     -eps2*cos, taken from p to avoid the cancellation in eps2 * (1 + (n-1)*t)."""
     s0, eps2 = spec.signs.effective
-    p, q, r, _ = _block(spec.n, spec.theta, s0)
-    return tuple(float(x) for x in (p, q, eps2 * (spec.n - 1) * r, -eps2 * s0 * p))
+    p, q, r, _ = _block(spec.n, spec.cos, spec.sin, s0)
+    return p, q, eps2 * (spec.n - 1) * r, -eps2 * s0 * p
 
 
 def _require_same_dimension(spec: AmplifierSpec, a: StateVector) -> None:
@@ -232,7 +245,7 @@ def eta_functional(spec: AmplifierSpec, a: StateVector) -> float:
     eta(a) = (-1 + eps4*beta0) * a[0] + eps4*eps3*gamma0 * sum(a[1:]).
     """
     _require_same_dimension(spec, a)
-    p, q, _, _ = _block(spec.n, spec.theta, spec.signs.effective[0])
+    p, q, _, _ = _block(spec.n, spec.cos, spec.sin, spec.signs.effective[0])
     a0, tail_sum = a._reduced
     return spec.signs.eps1 * (p * a0 + q * tail_sum) - a0
 
@@ -258,7 +271,7 @@ def _apply_array(
     which (-c) - arr would not be.
     """
     s0, eps2 = spec.signs.effective
-    p, q, r, t = _block(spec.n, spec.theta, s0)
+    p, q, r, t = _block(spec.n, spec.cos, spec.sin, s0)
     a0, tail_sum = _reduce(arr) if reduced is None else reduced
     out = arr + (r * a0 + t * tail_sum)
     if eps2 == -1:
@@ -288,7 +301,7 @@ def dense_matrix(spec: AmplifierSpec, cap: int = DENSE_CAP_DEFAULT) -> np.ndarra
         raise DenseCapExceeded(f"n={spec.n} exceeds the dense cap {cap}")
     n = spec.n
     s0, eps2 = spec.signs.effective
-    p, q, r, t = _block(n, spec.theta, s0)
+    p, q, r, t = _block(n, spec.cos, spec.sin, s0)
     m = np.full((n, n), eps2 * t)
     diag = np.arange(1, n)
     m[diag, diag] += eps2

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterOutOfRange
-from .family import AmplifierSpec, SignChoice, _pair_block, dense_matrix, make_spec
+from .family import AmplifierSpec, SignChoice, _pair_block, _spec_from_pair, dense_matrix
 from .state import StateVector, _write_text, format_float
 
 TRACE_HEADER = "step,amplitude0,probability0"
@@ -68,13 +68,8 @@ class GroverOperator:
 
 
 def _grover_member(n: int) -> AmplifierSpec:
-    """The family member equal to D @ Z: Grover signs, beta0 = (n - 2)/n, gamma0 > 0.
-
-    The angle is taken from the pair (n - 2, 2*sqrt(n - 1)), not from the
-    rounded beta0: acos of a rounded cosine near 1 loses about sqrt(n) ulps,
-    and the trace repeats that error once per step.
-    """
-    return make_spec(n, math.atan2(2.0 * math.sqrt(n - 1), n - 2), SignChoice.grover())
+    """The family member equal to D @ Z: Grover signs, beta0 = (n - 2)/n, gamma0 > 0."""
+    return _spec_from_pair(n, (n - 2) / n, 2.0 * math.sqrt(n - 1) / n, SignChoice.grover())
 
 
 def grover_iterate(a: StateVector, steps: int) -> list[TraceRow]:

@@ -103,7 +103,7 @@ def theta_sweep(
         raise ParameterOutOfRange(f"points must be at least 2, got {points}")
     a0, tail_sum = a._reduced
     theta = TWO_PI * np.arange(points) / points
-    p, q, _, _ = _block(a.n, theta, 1)
+    p, q, _, _ = _block(a.n, np.cos(theta), np.sin(theta), 1)
     amp = np.abs(p * a0 + q * tail_sum)
     return list(zip(theta.tolist(), amp.tolist()))
 

@@ -50,16 +50,6 @@ def relabel_apply(p: SearchProblem, a: StateVector) -> StateVector:
     return StateVector._adopt(a.n, out)
 
 
-def relabel_matrix(p: SearchProblem) -> np.ndarray:
-    """The relabeling involution as a permutation matrix (differs from the
-    identity in at most four entries)."""
-    m = np.eye(p.n)
-    if p.marked != 0:
-        m[0, 0] = m[p.marked, p.marked] = 0.0
-        m[0, p.marked] = m[p.marked, 0] = 1.0
-    return m
-
-
 def one_step_search(p: SearchProblem) -> tuple[int, float]:
     """Run the single-application search from the uniform start.
 

@@ -154,7 +154,7 @@ def loads_state_vector(text: str) -> StateVector:
     """Parse the shared JSON format; structural errors raise StateFormatError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise StateFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"n", "amplitudes"}:
         raise StateFormatError('expected an object with exactly "n" and "amplitudes"')

@@ -7,13 +7,14 @@ with the shift written as eps2 * (a + c), two passes and two allocations;
 `apply` writes it in one pass and must match it bit for bit.  The two loops
 apply the operator to the whole vector at every grid angle or step,
 O(points * n) and O(steps * n); `theta_sweep` and `grover_iterate` must
-agree with them within ``optamp.verify.FAST_PATH_TOL``.
+agree with them within ``optamp.verify.FAST_PATH_TOL``.  `relabel_matrix`
+is the dense form of `optamp.relabel_apply`.
 """
 
 import numpy as np
 
-from optamp import SignChoice, StateVector, grover_apply, make_spec
-from optamp.family import TWO_PI, _block
+from optamp import SearchProblem, SignChoice, StateVector, grover_apply, make_spec
+from optamp.family import TWO_PI
 
 
 def apply_reference(spec, arr: np.ndarray) -> np.ndarray:
@@ -31,12 +32,23 @@ def apply_reference(spec, arr: np.ndarray) -> np.ndarray:
 
 def apply_two_pass(spec, arr: np.ndarray) -> np.ndarray:
     s0, eps2 = spec.signs.effective
-    p, q, r, t = _block(spec.n, spec.theta, s0)
+    r, t = spec.gamma0, spec.gamma_i
+    p, q = s0 * spec.signs.eps3 * spec.beta0, s0 * r
     a0 = float(arr[0])
     tail_sum = float(np.sum(arr[1:]))
     out = eps2 * (arr + (r * a0 + t * tail_sum))
     out[0] = p * a0 + q * tail_sum
     return out
+
+
+def relabel_matrix(p: SearchProblem) -> np.ndarray:
+    """The relabeling involution as a permutation matrix (differs from the
+    identity in at most four entries)."""
+    m = np.eye(p.n)
+    if p.marked != 0:
+        m[0, 0] = m[p.marked, p.marked] = 0.0
+        m[0, p.marked] = m[p.marked, 0] = 1.0
+    return m
 
 
 def reference_theta_sweep(a: StateVector, signs=None, points: int = 1000):

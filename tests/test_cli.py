@@ -157,6 +157,48 @@ def test_malformed_input_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_deeply_nested_input_file_exits_2(tmp_path, capsys):
+    # json.loads raises RecursionError, not a ValueError, on deep nesting.
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000, encoding="utf-8")
+    assert main(["amplify", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grover", "--max-steps", "1"],
+        ["search", "--marked", "2"],
+        ["compare", "--marked", "2", "--max-steps", "1"],
+    ],
+)
+def test_dimension_too_large_to_allocate_exits_2(capsys, argv):
+    # 10**17 float64 amplitudes need 8e17 bytes, past a 57-bit address space,
+    # so the allocation is refused at once and no memory is touched.
+    assert main(argv + ["--n", str(10**17)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["amplify", "--n", "4", "--signs", "+1,+1"],
+        ["amplify", "--n", "4", "--theta", "-inf"],
+        ["frobnicate"],
+        ["search", "--marked", "2"],
+    ],
+)
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_denormalized_input_file_exits_2(tmp_path):
     bad = tmp_path / "short.json"
     bad.write_text('{"n": 2, "amplitudes": [0.9, 0.0]}', encoding="utf-8")

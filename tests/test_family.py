@@ -138,6 +138,11 @@ def test_make_spec_from_beta0_roundtrip():
     assert abs(derived.theta - direct.theta) < 1e-12
     assert abs(derived.beta0 - direct.beta0) < 1e-12
     assert abs(derived.gamma0 - direct.gamma0) < 1e-12
+    rng = np.random.default_rng(2024)
+    for signs in SignChoice.enumerate():
+        for b in rng.uniform(-1.0, 1.0, size=64).tolist():
+            for sign_gamma0 in (-1, 1):
+                assert make_spec_from_beta0(37, b, sign_gamma0, signs).beta0 == b
 
 
 def test_make_spec_from_beta0_range_check():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import relabel_matrix
 
 from optamp import (
     DimensionError,
@@ -15,7 +16,6 @@ from optamp import (
     grover_iterate,
     one_step_search,
     relabel_apply,
-    relabel_matrix,
 )
 
 
