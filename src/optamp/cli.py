@@ -21,6 +21,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
+# Largest --points or --max-steps: each costs one CSV row or trace step.
+_COUNT_CAP = 10**6
+
 
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
@@ -114,6 +117,25 @@ _COMMANDS = {
 }
 
 
+def _signs(text: str) -> SignChoice:
+    """``SignChoice.from_string``, whose message argparse would otherwise drop."""
+    try:
+        return SignChoice.from_string(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _count(text: str) -> int:
+    """An ``int`` no larger than ``_COUNT_CAP``, checked before any row is built."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > _COUNT_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {_COUNT_CAP}, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 2 with one ``error:`` line, like every other bad input;
     subparsers inherit the class."""
@@ -139,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_signs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--signs",
-            type=SignChoice.from_string,
+            type=_signs,
             default=SignChoice.all_plus(),
             help="five comma-separated signs, e.g. '+1,-1,+1,+1,+1' (default all +1)",
         )
@@ -159,15 +181,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="post-amplitude of component 0 over a theta grid (CSV)")
     add_io(p)
     add_signs(p)
-    p.add_argument("--points", type=int, default=1000, help="grid resolution (default 1000)")
+    p.add_argument(
+        "--points", type=_count, default=1000, help="grid resolution (default 1000, at most 10**6)"
+    )
 
     p = sub.add_parser("grover", help="iterate the classic search operator (CSV trace)")
     add_io(p)
     p.add_argument(
         "--max-steps",
         dest="max_steps",
-        type=int,
-        help="iterations to record (default ceil(2*sqrt(n)))",
+        type=_count,
+        help="iterations to record (default ceil(2*sqrt(n)), at most 10**6)",
     )
 
     p = sub.add_parser("search", help="one-step search for a marked index (JSON)")
@@ -178,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="one-step search versus iterated classic search (JSON)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--marked", type=int, required=True)
-    p.add_argument("--max-steps", dest="max_steps", type=int, help="classic iteration cap")
+    p.add_argument(
+        "--max-steps", dest="max_steps", type=_count, help="classic iteration cap (at most 10**6)"
+    )
     add_io(p, with_input=False)
 
     p = sub.add_parser("verify", help="seeded randomized invariant battery (JSON)")

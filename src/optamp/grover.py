@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterOutOfRange
 from .family import AmplifierSpec, SignChoice, _pair_block, _spec_from_pair, dense_matrix
-from .state import StateVector, _write_text, format_float
+from .state import StateVector, _join_records, _write_text
 
 TRACE_HEADER = "step,amplitude0,probability0"
 
@@ -103,10 +103,9 @@ def corollary_equivalence_check(n: int) -> float:
 
 
 def dumps_trace_csv(rows: list[TraceRow]) -> str:
-    lines = [TRACE_HEADER]
-    for step, amp, prob in rows:
-        lines.append(f"{step},{format_float(amp)},{format_float(prob)}")
-    return "\n".join(lines) + "\n"
+    # A step count is exact in a float64 and prints through %d as the integer.
+    table = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    return _join_records("\n", "%d,%.17g,%.17g", table, head=(TRACE_HEADER,)) + "\n"
 
 
 def write_trace_csv(rows: list[TraceRow], path) -> None:

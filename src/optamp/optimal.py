@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, SumZero
 from .family import TWO_PI, SignChoice, _apply_array, _block, make_spec, reduce_angle
-from .state import StateVector, _dumps_json, _write_text, format_float
+from .state import StateVector, _dumps_json, _join_records, _write_text
 
 SWEEP_HEADER = "theta,amplitude0,probability0"
 
@@ -114,10 +114,10 @@ def is_absolute_optimal(report: AmplifyReport) -> bool:
 
 
 def dumps_sweep_csv(rows: list[SweepRow]) -> str:
-    lines = [SWEEP_HEADER]
-    for theta, amp in rows:
-        lines.append(f"{format_float(theta)},{format_float(amp)},{format_float(amp * amp)}")
-    return "\n".join(lines) + "\n"
+    theta, amp = np.array(rows, dtype=np.float64).reshape(-1, 2).T
+    with np.errstate(over="ignore"):  # an amplitude past 1e154 squares to inf, as in Python
+        table = np.column_stack([theta, amp, amp * amp])
+    return _join_records("\n", "%.17g,%.17g,%.17g", table, head=(SWEEP_HEADER,)) + "\n"
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:

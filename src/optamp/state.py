@@ -13,10 +13,25 @@ from .errors import DimensionError, NormalizationError, StateFormatError
 
 NORM_TOL = 1e-9
 
+# Rows formatted per `%` operation by `_join_records`.
+_CHUNK = 4096
 
-def format_float(x: float) -> str:
-    # 17 significant digits round-trip any IEEE double exactly.
-    return format(float(x), ".17g")
+
+def _join_records(sep: str, record: str, table: np.ndarray, head: tuple[str, ...] = ()) -> str:
+    """The ``head`` lines, then ``record`` filled from each row of ``table``,
+    joined by ``sep``; a 1-D ``table`` has one value per row.
+
+    Each run of ``_CHUNK`` rows is formatted by one ``%`` on one format
+    string, which costs a fraction of a call per value and keeps only one
+    chunk's Python floats alive.  ``%.17g`` gives the same bytes as
+    ``format(x, ".17g")`` for every double, and 17 significant digits
+    round-trip any double exactly.
+    """
+    chunks = [
+        sep.join([record] * len(chunk)) % tuple(chunk.ravel().tolist())
+        for chunk in (table[i : i + _CHUNK] for i in range(0, len(table), _CHUNK))
+    ]
+    return sep.join([*head, *chunks])
 
 
 def _dumps_json(obj) -> str:
@@ -146,7 +161,7 @@ class StateVector:
 
 def dumps_state_vector(state: StateVector) -> str:
     """Serialize to the shared JSON format with 17-significant-digit floats."""
-    body = ", ".join(format_float(x) for x in state.amplitudes)
+    body = _join_records(", ", "%.17g", state.amplitudes)
     return f'{{"n": {state.n}, "amplitudes": [{body}]}}\n'
 
 
@@ -161,9 +176,9 @@ def loads_state_vector(text: str) -> StateVector:
     n, amps = obj["n"], obj["amplitudes"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise StateFormatError('"n" must be an integer')
-    if not isinstance(amps, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in amps
-    ):
+    # json.loads builds exact int, float and bool, never a subclass, so one
+    # scan of the types accepts ints and floats and rejects bools.
+    if not isinstance(amps, list) or not set(map(type, amps)) <= {int, float}:
         raise StateFormatError('"amplitudes" must be a list of numbers')
     if len(amps) != n:
         raise StateFormatError(f'"n" is {n} but {len(amps)} amplitudes were given')

@@ -9,12 +9,21 @@ apply the operator to the whole vector at every grid angle or step,
 O(points * n) and O(steps * n); `theta_sweep` and `grover_iterate` must
 agree with them within ``optamp.verify.FAST_PATH_TOL``.  `relabel_matrix`
 is the dense form of `optamp.relabel_apply`.
+
+The writers format one value per call with ``format(x, ".17g")``; the
+library's chunked writers must give the same bytes.  `reference_loads_state_vector`
+validates a state document element by element with ``isinstance``; the
+library's single type scan must accept and reject the same documents.
 """
+
+import json
 
 import numpy as np
 
-from optamp import SearchProblem, SignChoice, StateVector, grover_apply, make_spec
+from optamp import SearchProblem, SignChoice, StateFormatError, StateVector, grover_apply, make_spec
 from optamp.family import TWO_PI
+from optamp.grover import TRACE_HEADER
+from optamp.optimal import SWEEP_HEADER
 
 
 def apply_reference(spec, arr: np.ndarray) -> np.ndarray:
@@ -71,3 +80,45 @@ def reference_grover_iterate(a: StateVector, steps: int):
         amp = abs(float(current.amplitudes[0]))
         rows.append((step, amp, amp * amp))
     return rows
+
+
+def format_float(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def reference_dumps_state_vector(state: StateVector) -> str:
+    body = ", ".join(format_float(x) for x in state.amplitudes)
+    return f'{{"n": {state.n}, "amplitudes": [{body}]}}\n'
+
+
+def reference_dumps_sweep_csv(rows) -> str:
+    lines = [SWEEP_HEADER]
+    for theta, amp in rows:
+        lines.append(f"{format_float(theta)},{format_float(amp)},{format_float(amp * amp)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_dumps_trace_csv(rows) -> str:
+    lines = [TRACE_HEADER]
+    for step, amp, prob in rows:
+        lines.append(f"{step},{format_float(amp)},{format_float(prob)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_loads_state_vector(text: str) -> StateVector:
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise StateFormatError(f"not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or set(obj) != {"n", "amplitudes"}:
+        raise StateFormatError('expected an object with exactly "n" and "amplitudes"')
+    n, amps = obj["n"], obj["amplitudes"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise StateFormatError('"n" must be an integer')
+    if not isinstance(amps, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in amps
+    ):
+        raise StateFormatError('"amplitudes" must be a list of numbers')
+    if len(amps) != n:
+        raise StateFormatError(f'"n" is {n} but {len(amps)} amplitudes were given')
+    return StateVector(n, amps)

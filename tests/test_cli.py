@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optamp import StateVector, load_state_vector, save_state_vector
-from optamp.cli import main
+from optamp.cli import build_parser, main
 
 
 def write_uniform(tmp_path, n, name="input.json"):
@@ -197,6 +197,40 @@ def test_usage_errors_are_one_line(capsys, argv):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_signs_message_names_the_expected_form(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["amplify", "--n", "4", "--signs", "+1,+1"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "expected five comma-separated signs" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n", "4", "--points"],
+        ["grover", "--n", "4", "--max-steps"],
+        ["compare", "--n", "4", "--marked", "1", "--max-steps"],
+    ],
+    ids=["sweep", "grover", "compare"],
+)
+def test_counts_above_cap_are_usage_errors(capsys, argv):
+    # Rejected while parsing, so no row of the 10**6 + 1 is built.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [str(10**6 + 1)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "at most 1000000" in err
+
+
+def test_counts_at_cap_are_accepted():
+    parser = build_parser()
+    assert parser.parse_args(["sweep", "--n", "4", "--points", str(10**6)]).points == 10**6
+    assert parser.parse_args(["grover", "--n", "4", "--max-steps", str(10**6)]).max_steps == 10**6
 
 
 def test_denormalized_input_file_exits_2(tmp_path):

@@ -1,0 +1,174 @@
+"""The chunked text writers and the state loader, held to the per-value
+oracles in ``reference``; the CLI on arbitrary state documents."""
+
+import io
+import json
+import os
+import tempfile
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import (
+    reference_dumps_state_vector,
+    reference_dumps_sweep_csv,
+    reference_dumps_trace_csv,
+    reference_loads_state_vector,
+)
+
+from optamp import (
+    StateFormatError,
+    StateVector,
+    dumps_state_vector,
+    grover_iterate,
+    loads_state_vector,
+    theta_sweep,
+)
+from optamp.cli import main
+from optamp.grover import dumps_trace_csv
+from optamp.optimal import dumps_sweep_csv
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, 1 / 3, 0.1, 1e17]
+
+# Around the writers' 4096-row chunk: one short chunk, exactly one, one plus a row.
+SIZES = [2, 3, 4095, 4096, 4097, 3 * 4096 + 1]
+
+
+def edge_values(n: int) -> np.ndarray:
+    """``SPECIAL`` (cut to n) followed by seeded standard-normal values."""
+    values = np.random.default_rng(n).standard_normal(n)
+    k = min(n, len(SPECIAL))
+    values[:k] = SPECIAL[:k]
+    return values
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_state_writer_matches_per_value_oracle(n):
+    vec = StateVector.unnormalized(n, edge_values(n))
+    assert dumps_state_vector(vec) == reference_dumps_state_vector(vec)
+    unit = StateVector.uniform(n)
+    assert dumps_state_vector(unit) == reference_dumps_state_vector(unit)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_sweep_writer_matches_per_value_oracle(n):
+    values = edge_values(n).tolist()
+    rows = list(zip(values, reversed(values)))
+    assert dumps_sweep_csv(rows) == reference_dumps_sweep_csv(rows)
+    swept = theta_sweep(StateVector.uniform(max(n, 3)), points=n)
+    assert dumps_sweep_csv(swept) == reference_dumps_sweep_csv(swept)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_trace_writer_matches_per_value_oracle(n):
+    values = edge_values(n).tolist()
+    rows = [(step, x, y) for step, x, y in zip(range(n), values, reversed(values))]
+    assert dumps_trace_csv(rows) == reference_dumps_trace_csv(rows)
+    trace = grover_iterate(StateVector.uniform(1000), n - 1)
+    assert dumps_trace_csv(trace) == reference_dumps_trace_csv(trace)
+
+
+def test_csv_writers_on_no_rows_write_the_header():
+    assert dumps_sweep_csv([]) == reference_dumps_sweep_csv([])
+    assert dumps_trace_csv([]) == reference_dumps_trace_csv([])
+
+
+def test_state_writer_peak_memory_is_near_its_output():
+    # Counts allocations, not time.  Per-value formatting peaks at about 4.4x
+    # the text; the chunked writer holds the chunks and their join, about 2x.
+    n = 2**18
+    raw = np.random.default_rng(0).standard_normal(n)
+    vec = StateVector(n, raw / np.linalg.norm(raw))
+    tracemalloc.start()
+    try:
+        text = dumps_state_vector(vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
+
+
+amplitude_values = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.integers(min_value=10**300, max_value=10**400),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.floats(allow_nan=False), max_size=2),
+)
+
+
+@st.composite
+def state_documents(draw):
+    """State JSON text, valid and not: any amplitudes, any "n", extra or missing keys."""
+    amps = draw(
+        st.one_of(
+            st.lists(amplitude_values, max_size=6),
+            st.sampled_from([[0.6, 0.8], [1, 0], [0.5, -0.5, 0.5, 0.5], [0.0, 1.0], [True, 0]]),
+            amplitude_values,
+        )
+    )
+    length = len(amps) if isinstance(amps, list) else 2
+    n = draw(st.one_of(st.just(length), st.integers(-1, 8), st.booleans(), st.floats(), st.none()))
+    doc = {"n": n, "amplitudes": amps}
+    doc.update(draw(st.dictionaries(st.sampled_from(["extra", "n", "N"]), st.integers(), max_size=1)))
+    if draw(st.booleans()) and draw(st.booleans()):
+        del doc[draw(st.sampled_from(["n", "amplitudes"]))]
+    text = json.dumps(doc)
+    return draw(st.one_of(st.just(text), st.just(text[: len(text) // 2]), st.just(json.dumps([doc]))))
+
+
+def outcome(loads, text):
+    try:
+        return loads(text), None
+    except Exception as exc:  # the class is compared; any exception counts
+        return None, type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_documents())
+def test_loader_accepts_and_rejects_as_the_per_element_scan(text):
+    got, got_error = outcome(loads_state_vector, text)
+    want, want_error = outcome(reference_loads_state_vector, text)
+    assert got_error is want_error
+    if want is not None:
+        assert got.n == want.n
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+def run_amplify(path):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(["amplify", "--input", path])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_documents())
+def test_amplify_on_any_state_document_exits_0_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, err = run_amplify(path)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bool_amplitude_exits_2(tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"n": 2, "amplitudes": [true, 0]}', encoding="utf-8")
+    with pytest.raises(StateFormatError):
+        loads_state_vector(path.read_text(encoding="utf-8"))
+    code, err = run_amplify(str(path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
