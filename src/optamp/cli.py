@@ -15,7 +15,7 @@ from .grover import dumps_trace_csv, grover_iterate
 from .optimal import AmplifyReport, amplify_optimal, dumps_sweep_csv, theta_sweep
 from .search import SearchProblem, compare_with_grover, one_step_search
 from .state import StateVector, _dumps_json, _write_text, dumps_state_vector, load_state_vector
-from .verify import dumps_verification, run_verification
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -46,8 +46,9 @@ def _input_state(args: argparse.Namespace) -> StateVector:
     return StateVector.uniform(args.n)
 
 
-def _default_steps(n: int) -> int:
-    return math.ceil(2.0 * math.sqrt(n))
+def _steps(args: argparse.Namespace, n: int) -> int:
+    """``--max-steps``, or ceil(2*sqrt(n)) when it is not given."""
+    return args.max_steps if args.max_steps is not None else math.ceil(2.0 * math.sqrt(n))
 
 
 def _cmd_amplify(args: argparse.Namespace) -> int:
@@ -66,15 +67,14 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     state = _input_state(args)
-    rows = theta_sweep(state, args.signs, args.points)
+    rows = theta_sweep(state, points=args.points)
     _emit(dumps_sweep_csv(rows), args.output_path)
     return EXIT_OK
 
 
 def _cmd_grover(args: argparse.Namespace) -> int:
     state = _input_state(args)
-    steps = args.max_steps if args.max_steps is not None else _default_steps(state.n)
-    rows = grover_iterate(state, steps)
+    rows = grover_iterate(state, _steps(args, state.n))
     _emit(dumps_trace_csv(rows), args.output_path)
     return EXIT_OK
 
@@ -95,26 +95,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     problem = SearchProblem(args.n, args.marked)
-    steps = args.max_steps if args.max_steps is not None else _default_steps(problem.n)
-    report = compare_with_grover(problem, steps)
+    report = compare_with_grover(problem, _steps(args, problem.n))
     _emit(report.to_json(), args.output_path)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     summary = run_verification(args.seed, args.n)
-    _emit(dumps_verification(summary), args.output_path)
+    _emit(_dumps_json(summary), args.output_path)
     return EXIT_OK if summary["passed"] else EXIT_VERIFY_FAILED
-
-
-_COMMANDS = {
-    "amplify": _cmd_amplify,
-    "sweep": _cmd_sweep,
-    "grover": _cmd_grover,
-    "search": _cmd_search,
-    "compare": _cmd_compare,
-    "verify": _cmd_verify,
-}
 
 
 def _signs(text: str) -> SignChoice:
@@ -158,17 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, help="dimension for the uniform start (when no --input)")
         p.add_argument("--output", dest="output_path", help="artifact file (stdout when omitted)")
 
-    def add_signs(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--signs",
-            type=_signs,
-            default=SignChoice.all_plus(),
-            help="five comma-separated signs, e.g. '+1,-1,+1,+1,+1' (default all +1)",
-        )
-
     p = sub.add_parser("amplify", help="amplify component 0 of a vector")
+    p.set_defaults(run=_cmd_amplify)
     add_io(p)
-    add_signs(p)
+    p.add_argument(
+        "--signs",
+        type=_signs,
+        default=SignChoice.all_plus(),
+        help="five comma-separated signs, e.g. '+1,-1,+1,+1,+1' (default all +1)",
+    )
     p.add_argument(
         "--theta",
         default="auto",
@@ -179,13 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     p = sub.add_parser("sweep", help="post-amplitude of component 0 over a theta grid (CSV)")
+    p.set_defaults(run=_cmd_sweep)
     add_io(p)
-    add_signs(p)
     p.add_argument(
         "--points", type=_count, default=1000, help="grid resolution (default 1000, at most 10**6)"
     )
 
     p = sub.add_parser("grover", help="iterate the classic search operator (CSV trace)")
+    p.set_defaults(run=_cmd_grover)
     add_io(p)
     p.add_argument(
         "--max-steps",
@@ -195,11 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("search", help="one-step search for a marked index (JSON)")
+    p.set_defaults(run=_cmd_search)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--marked", type=int, required=True)
     add_io(p, with_input=False)
 
     p = sub.add_parser("compare", help="one-step search versus iterated classic search (JSON)")
+    p.set_defaults(run=_cmd_compare)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--marked", type=int, required=True)
     p.add_argument(
@@ -208,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p, with_input=False)
 
     p = sub.add_parser("verify", help="seeded randomized invariant battery (JSON)")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--seed", type=int, default=0, help="generator seed (numpy default_rng)")
     p.add_argument("--n", type=int, default=64, help="dimension of the checked vectors")
     add_io(p, with_input=False)
@@ -218,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DenseCapExceeded, DimensionError, ParameterOutOfRange
-from .state import StateVector, _reduce
+from .state import StateVector, _reduce, _require_dimension
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,6 +129,8 @@ class AmplifierSpec:
     2*pi at construction so the stored angle always lies in [0, 2*pi).
     ``cos`` and ``sin`` are taken from it once, here, or given exactly by a
     builder; every coefficient below is arithmetic on them.
+    ``dataclasses.replace`` retakes them from the rounded ``theta``, so
+    rebuild a member with an exact pair through its builder instead.
     """
 
     n: int
@@ -138,8 +140,7 @@ class AmplifierSpec:
     sin: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DimensionError(f"dimension must be at least 2, got {self.n}")
+        _require_dimension(self.n)
         if not math.isfinite(self.theta):
             raise ParameterOutOfRange(f"theta must be finite, got {self.theta!r}")
         if abs(self.theta) >= _THETA_LIMIT:

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterOutOfRange
+from .errors import ParameterOutOfRange
 from .family import AmplifierSpec, SignChoice, _pair_block, _spec_from_pair, dense_matrix
-from .state import StateVector, _join_records, _write_text
+from .state import StateVector, _join_records, _require_dimension, _write_text
 
 TRACE_HEADER = "step,amplitude0,probability0"
 
@@ -41,8 +41,7 @@ class GroverOperator:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DimensionError(f"dimension must be at least 2, got {self.n}")
+        _require_dimension(self.n)
 
     def flip_matrix(self) -> np.ndarray:
         z = np.eye(self.n)

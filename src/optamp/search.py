@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DimensionError, ParameterOutOfRange
 from .grover import grover_iterate
 from .optimal import amplify_optimal
-from .state import StateVector, _dumps_json
+from .state import StateVector, _dumps_json, _require_dimension
 
 
 @dataclass(frozen=True)
@@ -21,8 +21,7 @@ class SearchProblem:
     marked: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DimensionError(f"dimension must be at least 2, got {self.n}")
+        _require_dimension(self.n)
         if not 0 <= self.marked < self.n:
             raise ParameterOutOfRange(f"marked index {self.marked} outside [0, {self.n})")
 

@@ -66,6 +66,12 @@ def _squared_norm(arr: np.ndarray) -> float:
     return sq
 
 
+def _require_dimension(n: int) -> None:
+    """The rule every type here shares: a dimension is at least 2."""
+    if n < 2:
+        raise DimensionError(f"dimension must be at least 2, got {n}")
+
+
 class _Adopted:
     """A float64 array the library has just allocated and no one else holds."""
 
@@ -93,8 +99,7 @@ class StateVector:
     check_norm: InitVar[bool] = True
 
     def __post_init__(self, check_norm: bool) -> None:
-        if self.n < 2:
-            raise DimensionError(f"dimension must be at least 2, got {self.n}")
+        _require_dimension(self.n)
         if isinstance(self.amplitudes, _Adopted):
             arr = self.amplitudes.array
         else:
@@ -132,6 +137,7 @@ class StateVector:
     @classmethod
     def uniform(cls, n: int) -> StateVector:
         """The equal-weight superposition (1, ..., 1)/sqrt(n)."""
+        _require_dimension(n)
         return cls(n, np.full(n, 1.0 / math.sqrt(n)))
 
     @classmethod

@@ -16,9 +16,9 @@ from .family import (
     reflection_form,
 )
 from .grover import corollary_equivalence_check, grover_apply, grover_iterate
-from .optimal import amplify_optimal, optimal_theta, theta_sweep
+from .optimal import amplify_optimal, theta_sweep
 from .search import SearchProblem, one_step_search
-from .state import StateVector, _dumps_json
+from .state import StateVector
 
 # Dense-backed checks (matrix reconstruction, involution products) run at a
 # clamped dimension so `verify` stays fast at any requested n.
@@ -27,6 +27,9 @@ DENSE_CHECK_MAX = 256
 # Largest gap allowed between a reduced-pair fast path (`grover_iterate`,
 # `theta_sweep`) and the full-vector reference it replaces.
 FAST_PATH_TOL = 1e-12
+
+# Random members and vectors drawn for the isometry and ellipse checks.
+_CASES = 100
 
 
 def random_unit_vector(rng: np.random.Generator, n: int) -> StateVector:
@@ -38,10 +41,10 @@ def random_unit_vector(rng: np.random.Generator, n: int) -> StateVector:
             return StateVector(n, raw / norm)
 
 
-def run_verification(seed: int, n: int, cases: int = 100) -> dict:
+def run_verification(seed: int, n: int) -> dict:
     """Run the invariant battery; returns a JSON-ready summary dict.
 
-    Deterministic for a fixed (seed, n, cases): the artifact bytes are
+    Deterministic for a fixed (seed, n): the artifact bytes are
     reproducible run to run.  Matrix-free checks use the full dimension n;
     dense checks use min(n, DENSE_CHECK_MAX).  The last two checks hold the
     O(n + k) sweep and Grover trace to their full-vector references.
@@ -63,7 +66,7 @@ def run_verification(seed: int, n: int, cases: int = 100) -> dict:
 
     worst_iso = 0.0
     worst_ellipse = 0.0
-    for i in range(cases):
+    for i in range(_CASES):
         spec = make_spec(n, float(rng.uniform(0.0, TWO_PI)), sign_pool[i % len(sign_pool)])
         vec = random_unit_vector(rng, n)
         worst_iso = max(worst_iso, isometry_residual(spec, vec))
@@ -120,13 +123,13 @@ def run_verification(seed: int, n: int, cases: int = 100) -> dict:
     probes = 0
     while probes < 3:
         vec = random_unit_vector(rng, n)
-        if float(np.sum(vec.amplitudes[1:])) == 0.0:
+        if vec._reduced[1] == 0.0:
             continue
         probes += 1
         _, report = amplify_optimal(vec)
         sweep_max = max(amp for _, amp in theta_sweep(vec, points=200))
         worst_sweep = max(worst_sweep, sweep_max - report.post_amplitude0)
-        theta_star = optimal_theta(vec)
+        theta_star = report.theta_star
         h = 1e-6
         signs = SignChoice.all_plus()
         up = abs(float(_apply_array(make_spec(n, theta_star + h, signs), vec.amplitudes)[0]))
@@ -163,11 +166,7 @@ def run_verification(seed: int, n: int, cases: int = 100) -> dict:
     return {
         "seed": seed,
         "n": n,
-        "cases": cases,
+        "cases": _CASES,
         "checks": checks,
         "passed": all(check["passed"] for check in checks),
     }
-
-
-def dumps_verification(summary: dict) -> str:
-    return _dumps_json(summary)

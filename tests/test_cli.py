@@ -189,6 +189,7 @@ def test_dimension_too_large_to_allocate_exits_2(capsys, argv):
         ["amplify", "--n", "4", "--theta", "-inf"],
         ["frobnicate"],
         ["search", "--marked", "2"],
+        ["sweep", "--n", "4", "--signs", "+1,+1,+1,+1,+1"],
     ],
 )
 def test_usage_errors_are_one_line(capsys, argv):
@@ -197,6 +198,60 @@ def test_usage_errors_are_one_line(capsys, argv):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["0", "-4"])
+@pytest.mark.parametrize("command", ["amplify", "sweep", "grover"])
+def test_dimension_below_two_exits_2(capsys, command, n):
+    assert main([command, "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: dimension must be at least 2, got {int(n)}\n"
+
+
+# Token pools for the argv property: each value is refused at once or runs in
+# milliseconds.  10**17 and 10**30 amplitudes cannot be allocated at all; a
+# mid-size n such as 10**9 could be, so it is not drawn.  `verify` builds its
+# own vectors and dense matrices, so its --n stays small.
+_HUGE = [str(10**17), str(10**30)]
+_DIMENSIONS = ["0", "-0", "1", "2", "3", "8", "-4", "abc", "", "1e3", *_HUGE]
+_OPTION_VALUES = {
+    "--n": _DIMENSIONS,
+    "--marked": ["0", "1", "7", "-1", str(10**17), "x"],
+    "--points": ["0", "1", "2", "16", "100", "-3", str(10**6 + 1), "x"],
+    "--max-steps": ["0", "1", "2", "16", "100", "-3", str(10**6 + 1), "x"],
+    "--theta": ["auto", "0.5", "-1e-3", "nan", "inf", "1e308", "x"],
+    "--signs": ["+1,-1,+1,+1,+1", "+1,+1", "2,1,1,1,1", "a,b,c,d,e", ""],
+    "--seed": ["0", "3", "-1", "x"],
+}
+_SUBCOMMANDS = ["amplify", "sweep", "grover", "search", "compare", "verify"]
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(_SUBCOMMANDS))
+    argv = [command]
+    for option in draw(st.lists(st.sampled_from(sorted(_OPTION_VALUES)), unique=True)):
+        values = _OPTION_VALUES[option]
+        if command == "verify" and option == "--n":
+            values = [v for v in values if v not in _HUGE]
+        argv += [option, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+def test_any_argv_exits_0_1_or_2(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert code != 1 or argv[0] == "verify"
+    if code == 2:
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_bad_signs_message_names_the_expected_form(capsys):

@@ -44,6 +44,10 @@ def test_dimension_below_two_rejected():
         StateVector(1, [1.0])
     with pytest.raises(DimensionError):
         StateVector(0, [])
+    with pytest.raises(DimensionError):
+        StateVector.uniform(0)
+    with pytest.raises(DimensionError):
+        StateVector.uniform(-4)
 
 
 def test_length_mismatch_rejected():
