@@ -6,7 +6,7 @@ import argparse
 import numpy as np
 
 from optamp import amplify_optimal, optimal_theta, theta_sweep, write_sweep_csv
-from optamp.state import StateVector
+from optamp.verify import random_unit_vector
 
 
 def main() -> None:
@@ -17,9 +17,7 @@ def main() -> None:
     ap.add_argument("--output", default="theta_landscape.csv")
     args = ap.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    raw = rng.standard_normal(args.n)
-    vec = StateVector(args.n, raw / np.linalg.norm(raw))
+    vec = random_unit_vector(np.random.default_rng(args.seed), args.n)
 
     rows = theta_sweep(vec, points=args.points)
     write_sweep_csv(rows, args.output)

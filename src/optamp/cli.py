@@ -8,7 +8,6 @@ import re
 import sys
 from typing import Optional
 
-from .errors import ParameterOutOfRange
 from .family import SignChoice, make_spec
 from .family import apply as apply_spec
 from .grover import dumps_trace_csv, grover_iterate
@@ -41,8 +40,6 @@ def _state_sibling(path: str) -> str:
 def _input_state(args: argparse.Namespace) -> StateVector:
     if args.input_path is not None:
         return load_state_vector(args.input_path)
-    if args.n is None:
-        raise ParameterOutOfRange("provide --input or --n")
     return StateVector.uniform(args.n)
 
 
@@ -143,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io(p: argparse.ArgumentParser, with_input: bool = True) -> None:
         if with_input:
-            p.add_argument("--input", dest="input_path", help="state-vector JSON file")
-            p.add_argument("--n", type=int, help="dimension for the uniform start (when no --input)")
+            start = p.add_mutually_exclusive_group(required=True)
+            start.add_argument("--input", dest="input_path", help="state-vector JSON file")
+            start.add_argument("--n", type=int, help="dimension for the uniform start")
         p.add_argument("--output", dest="output_path", help="artifact file (stdout when omitted)")
 
     p = sub.add_parser("amplify", help="amplify component 0 of a vector")
@@ -162,8 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="mixing angle in radians, or 'auto' for the optimal one (default auto); "
         "with --output, the post vector lands next to the report as *.state.json",
     )
-    # Else argparse, whose negative-number pattern has no exponent, reads "-1e-3" as an option.
-    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+    # Else argparse, whose negative-number pattern has neither an exponent nor a
+    # list tail, reads "-1e-3" or "-1,+1,+1,+1,+1" as an option.
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?(,[+-]?\d+)*$")
 
     p = sub.add_parser("sweep", help="post-amplitude of component 0 over a theta grid (CSV)")
     p.set_defaults(run=_cmd_sweep)

@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DenseCapExceeded, DimensionError, ParameterOutOfRange
-from .state import StateVector, _reduce, _require_dimension
+from .state import StateVector, _require_dimension
 
 TWO_PI = 2.0 * math.pi
 
@@ -261,35 +261,24 @@ def c_functional(spec: AmplifierSpec, a: StateVector) -> float:
     return spec.gamma0 * a0 + spec.gamma_i * tail_sum
 
 
-def _apply_array(
-    spec: AmplifierSpec, arr: np.ndarray, reduced: tuple[float, float] | None = None
-) -> np.ndarray:
-    """O(n) evaluation on a raw array; preserves whatever norm the input has.
-
-    ``reduced`` is ``(arr[0], sum(arr[1:]))`` when the caller has it.  The
-    output is one new array written in one pass, negated in place when
-    eps2 == -1: bit-identical to eps2 * (arr + c), signed zeros included,
-    which (-c) - arr would not be.
-    """
-    s0, eps2 = spec.signs.effective
-    p, q, r, t = _block(spec.n, spec.cos, spec.sin, s0)
-    a0, tail_sum = _reduce(arr) if reduced is None else reduced
-    out = arr + (r * a0 + t * tail_sum)
-    if eps2 == -1:
-        np.negative(out, out=out)
-    out[0] = p * a0 + q * tail_sum
-    return out
-
-
 def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
     """Apply the operator without materializing a matrix.
 
     Component 0 becomes eps1 * (a[0] + eta(a)); every other component i
     becomes eps2 * (a[i] + c(a)).  The map is an isometry, so the output
-    norm equals the input norm up to roundoff.
+    norm equals the input norm up to roundoff.  The output is one new array
+    written in one pass, negated in place when eps2 == -1: bit-identical to
+    eps2 * (a + c), signed zeros included, which (-c) - a would not be.
     """
     _require_same_dimension(spec, a)
-    return StateVector._adopt(spec.n, _apply_array(spec, a.amplitudes, a._reduced))
+    s0, eps2 = spec.signs.effective
+    p, q, r, t = _block(spec.n, spec.cos, spec.sin, s0)
+    a0, tail_sum = a._reduced
+    out = a.amplitudes + (r * a0 + t * tail_sum)
+    if eps2 == -1:
+        np.negative(out, out=out)
+    out[0] = p * a0 + q * tail_sum
+    return StateVector._adopt(spec.n, out)
 
 
 def dense_matrix(spec: AmplifierSpec, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
@@ -331,7 +320,9 @@ def reflection_form(spec: AmplifierSpec) -> ReflectionForm | ConditionViolated:
 
 
 def isometry_residual(spec: AmplifierSpec, a: StateVector) -> float:
-    """| ||U a||^2 - ||a||^2 |, the certificate of norm preservation."""
-    _require_same_dimension(spec, a)
-    out = _apply_array(spec, a.amplitudes, a._reduced)
+    """| ||U a||^2 - ||a||^2 |, the certificate of norm preservation.
+
+    Runs :func:`apply`, so an image that overflows raises StateFormatError.
+    """
+    out = apply(spec, a).amplitudes
     return abs(float(out @ out) - float(a.amplitudes @ a.amplitudes))

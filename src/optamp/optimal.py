@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, SumZero
-from .family import TWO_PI, SignChoice, _apply_array, _block, make_spec, reduce_angle
+from .family import TWO_PI, SignChoice, _block, apply, make_spec, reduce_angle
 from .state import StateVector, _dumps_json, _join_records, _write_text
 
 SWEEP_HEADER = "theta,amplitude0,probability0"
@@ -80,10 +80,8 @@ def amplify_optimal(
     if signs is None:
         signs = SignChoice.all_plus()
     theta_star = optimal_theta(a)
-    spec = make_spec(a.n, theta_star, signs)
-    out = _apply_array(spec, a.amplitudes, a._reduced)
-    report = AmplifyReport.from_arrays(theta_star, a.amplitudes, out)
-    return StateVector._adopt(a.n, out), report
+    out = apply(make_spec(a.n, theta_star, signs), a)
+    return out, AmplifyReport.from_arrays(theta_star, a.amplitudes, out.amplitudes)
 
 
 def theta_sweep(

@@ -44,14 +44,6 @@ def _write_text(path, text: str) -> None:
         handle.write(text)
 
 
-def _reduce(arr: np.ndarray) -> tuple[float, float]:
-    """The pair ``(a[0], sum(a[1:]))``: all that component 0 of any family
-    member's output depends on, computed in one O(n) pass.  An overflowing
-    sum is inf, with no warning: the output built from it is rejected."""
-    with np.errstate(over="ignore"):
-        return float(arr[0]), float(np.sum(arr[1:]))
-
-
 def _squared_norm(arr: np.ndarray) -> float:
     """sum(a_i^2) in one pass; raises StateFormatError on a non-finite entry.
 
@@ -131,8 +123,12 @@ class StateVector:
 
     @cached_property
     def _reduced(self) -> tuple[float, float]:
-        """``(a[0], sum(a[1:]))``, reduced once per vector; the array is read-only."""
-        return _reduce(self.amplitudes)
+        """The pair ``(a[0], sum(a[1:]))``: all that component 0 of any family
+        member's output depends on, computed in one O(n) pass once per vector
+        (the array is read-only).  An overflowing sum is inf, with no warning:
+        the output built from it is rejected."""
+        with np.errstate(over="ignore"):
+            return float(self.amplitudes[0]), float(np.sum(self.amplitudes[1:]))
 
     @classmethod
     def uniform(cls, n: int) -> StateVector:

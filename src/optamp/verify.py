@@ -9,7 +9,7 @@ from .family import (
     ConditionViolated,
     ReflectionForm,
     SignChoice,
-    _apply_array,
+    apply,
     dense_matrix,
     isometry_residual,
     make_spec,
@@ -85,14 +85,13 @@ def run_verification(seed: int, n: int) -> dict:
         vec = random_unit_vector(rng, dense_n)
         dense_out = dense_matrix(spec) @ vec.amplitudes
         worst_dense = max(
-            worst_dense, float(np.max(np.abs(dense_out - _apply_array(spec, vec.amplitudes))))
+            worst_dense, float(np.max(np.abs(dense_out - apply(spec, vec).amplitudes)))
         )
         other = random_unit_vector(rng, dense_n)
         alpha, beta = (float(x) for x in rng.uniform(-2.0, 2.0, size=2))
-        combined = _apply_array(spec, alpha * vec.amplitudes + beta * other.amplitudes)
-        split = alpha * _apply_array(spec, vec.amplitudes) + beta * _apply_array(
-            spec, other.amplitudes
-        )
+        mix = StateVector.unnormalized(dense_n, alpha * vec.amplitudes + beta * other.amplitudes)
+        combined = apply(spec, mix).amplitudes
+        split = alpha * apply(spec, vec).amplitudes + beta * apply(spec, other).amplitudes
         worst_linear = max(worst_linear, float(np.max(np.abs(combined - split))))
     record("dense_matches_apply", worst_dense, 1e-12)
     record("linearity", worst_linear, 1e-12)
@@ -132,8 +131,8 @@ def run_verification(seed: int, n: int) -> dict:
         theta_star = report.theta_star
         h = 1e-6
         signs = SignChoice.all_plus()
-        up = abs(float(_apply_array(make_spec(n, theta_star + h, signs), vec.amplitudes)[0]))
-        down = abs(float(_apply_array(make_spec(n, theta_star - h, signs), vec.amplitudes)[0]))
+        up = abs(float(apply(make_spec(n, theta_star + h, signs), vec).amplitudes[0]))
+        down = abs(float(apply(make_spec(n, theta_star - h, signs), vec).amplitudes[0]))
         worst_grad = max(worst_grad, abs(up - down) / (2.0 * h))
     record("sweep_never_exceeds_optimum", worst_sweep, 1e-9)
     record("stationarity_gradient", worst_grad, 1e-5)
@@ -158,7 +157,7 @@ def run_verification(seed: int, n: int) -> dict:
     vec = random_unit_vector(rng, n)
     signs = sign_pool[int(rng.integers(32))]
     worst_sweep_apply = max(
-        abs(amp - abs(float(_apply_array(make_spec(n, theta, signs), vec.amplitudes)[0])))
+        abs(amp - abs(float(apply(make_spec(n, theta, signs), vec).amplitudes[0])))
         for theta, amp in theta_sweep(vec, signs, points=64)
     )
     record("sweep_matches_apply", worst_sweep_apply, FAST_PATH_TOL)

@@ -11,6 +11,7 @@ from optamp import (
     SignChoice,
     StateVector,
     amplify_optimal,
+    apply,
     compare_with_grover,
     corollary_equivalence_check,
     dense_matrix,
@@ -23,7 +24,6 @@ from optamp import (
     theta_sweep,
 )
 from optamp.cli import main as cli_main
-from optamp.family import _apply_array
 from optamp.grover import GroverOperator
 
 
@@ -182,8 +182,8 @@ def test_criterion_8_stationarity_gradient():
             continue
         count += 1
         theta = optimal_theta(vec)
-        up = abs(float(_apply_array(make_spec(n, theta + h, signs), vec.amplitudes)[0]))
-        down = abs(float(_apply_array(make_spec(n, theta - h, signs), vec.amplitudes)[0]))
+        up = abs(float(apply(make_spec(n, theta + h, signs), vec).amplitudes[0]))
+        down = abs(float(apply(make_spec(n, theta - h, signs), vec).amplitudes[0]))
         worst = max(worst, abs(up - down) / (2.0 * h))
     _report(8, "stationarity gradient", worst <= 1e-5, f"max central difference {worst:.3e}")
 

@@ -61,6 +61,11 @@ def test_amplify_signs_flag(capsys):
     assert main(["amplify", "--n", "4", "--signs", "+1,-1,+1,+1,+1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert abs(report["post_probability0"] - 1.0) < 1e-9
+    # A pattern led by -1 is a value, not an option, in the spaced form too.
+    assert main(["amplify", "--n", "4", "--signs", "-1,-1,+1,+1,+1"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["amplify", "--n", "4", "--signs=-1,-1,+1,+1,+1"]) == 0
+    assert capsys.readouterr().out == spaced
 
 
 def test_amplify_given_optimal_theta_matches_auto(tmp_path):
@@ -301,8 +306,21 @@ def test_structurally_wrong_file_exits_2(tmp_path):
 
 
 def test_missing_input_and_n_exits_2(capsys):
-    assert main(["sweep"]) == 2
-    assert "provide --input or --n" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == "error: one of the arguments --input --n is required\n"
+
+
+@pytest.mark.parametrize("command", ["amplify", "sweep", "grover"])
+def test_input_and_n_together_exit_2(tmp_path, capsys, command):
+    inp = write_uniform(tmp_path, 3)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--input", str(inp), "--n", "5"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not allowed with argument" in err
 
 
 def test_nonexistent_input_exits_2(tmp_path):

@@ -236,7 +236,7 @@ def test_no_sign_pattern_beats_the_optimum():
 # ---------------------------------------------------------------------------
 
 def test_finite_difference_gradient_vanishes_at_optimum():
-    from optamp.family import _apply_array, make_spec
+    from optamp.family import apply, make_spec
 
     rng = np.random.default_rng(6)
     h = 1e-6
@@ -247,8 +247,8 @@ def test_finite_difference_gradient_vanishes_at_optimum():
         if float(np.sum(vec.amplitudes[1:])) == 0.0:
             continue
         theta = optimal_theta(vec)
-        up = abs(float(_apply_array(make_spec(n, theta + h, signs), vec.amplitudes)[0]))
-        down = abs(float(_apply_array(make_spec(n, theta - h, signs), vec.amplitudes)[0]))
+        up = abs(float(apply(make_spec(n, theta + h, signs), vec).amplitudes[0]))
+        down = abs(float(apply(make_spec(n, theta - h, signs), vec).amplitudes[0]))
         assert abs(up - down) / (2 * h) <= 1e-5
 
 

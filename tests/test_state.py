@@ -14,6 +14,7 @@ from optamp import (
     StateVector,
     apply,
     dumps_state_vector,
+    isometry_residual,
     load_state_vector,
     loads_state_vector,
     make_spec,
@@ -87,8 +88,12 @@ def test_overflowing_squares_are_finite_input_without_warnings():
 def test_operator_output_with_non_finite_entries_is_rejected():
     # The input is finite, but sum(a[1:]) overflows to inf, so the output is not.
     vec = StateVector.unnormalized(3, [1e308] * 3)
+    spec = make_spec(3, 0.5, SignChoice.all_plus())
     with pytest.raises(StateFormatError):
-        apply(make_spec(3, 0.5, SignChoice.all_plus()), vec)
+        apply(spec, vec)
+    # The certificate runs the member through apply, so it is refused the same way.
+    with pytest.raises(StateFormatError):
+        isometry_residual(spec, vec)
 
 
 def test_normalized_helper():
