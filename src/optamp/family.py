@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DenseCapExceeded, DimensionError, ParameterOutOfRange
-from .state import StateVector, _require_dimension
+from .state import StateVector, _by_halves, _require_dimension
 
 TWO_PI = 2.0 * math.pi
 
@@ -268,15 +268,24 @@ def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
     becomes eps2 * (a[i] + c(a)).  The map is an isometry, so the output
     norm equals the input norm up to roundoff.  The output is one new array
     written in one pass, negated in place when eps2 == -1: bit-identical to
-    eps2 * (a + c), signed zeros included, which (-c) - a would not be.
+    eps2 * (a + c), signed zeros included, which (-c) - a would not be.  A
+    long vector is written in two halves on two threads, with the same bits.
+    An entry that overflows is inf, with no warning, and the output is refused.
     """
     _require_same_dimension(spec, a)
     s0, eps2 = spec.signs.effective
     p, q, r, t = _block(spec.n, spec.cos, spec.sin, s0)
     a0, tail_sum = a._reduced
-    out = a.amplitudes + (r * a0 + t * tail_sum)
-    if eps2 == -1:
-        np.negative(out, out=out)
+    src, c = a.amplitudes, r * a0 + t * tail_sum
+    out = np.empty(spec.n)
+
+    def shift(lo: int, hi: int) -> None:
+        np.add(src[lo:hi], c, out=out[lo:hi])
+        if eps2 == -1:
+            np.negative(out[lo:hi], out=out[lo:hi])
+
+    with np.errstate(over="ignore"):
+        _by_halves(spec.n, shift)
     out[0] = p * a0 + q * tail_sum
     return StateVector._adopt(spec.n, out)
 

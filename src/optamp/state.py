@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -15,6 +17,49 @@ NORM_TOL = 1e-9
 
 # Rows formatted per `%` operation by `_join_records`.
 _CHUNK = 4096
+
+# From this many elements up, `_by_halves` runs an O(n) pass on two threads.
+_PARALLEL_MIN = 2**20
+
+
+def _by_halves(m: int, fn) -> tuple:
+    """``(fn(0, m),)``, or ``(fn(0, h), fn(h, m))`` with the second half on a
+    worker thread when ``m >= _PARALLEL_MIN`` and the process may run on two
+    CPUs.  ``h`` is numpy's pairwise-sum split point of a contiguous array,
+    so ``np.sum(x[:h]) + np.sum(x[h:])`` is ``np.sum(x)`` bit for bit.  The
+    worker runs under the caller's numpy error state, which does not reach a
+    new thread by itself.
+    """
+    if m < _PARALLEL_MIN or _cpus() < 2:
+        return (fn(0, m),)
+    h = m // 2 - (m // 2) % 8
+    err = np.geterr()
+    box: list = []
+
+    def second_half() -> None:
+        with np.errstate(**err):
+            try:
+                box.append((True, fn(h, m)))
+            except BaseException as exc:  # raised again on the calling thread
+                box.append((False, exc))
+
+    worker = threading.Thread(target=second_half)
+    worker.start()
+    try:
+        first = fn(0, h)
+    finally:
+        worker.join()
+    ok, second = box[0]
+    if not ok:
+        raise second
+    return first, second
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _join_records(sep: str, record: str, table: np.ndarray, head: tuple[str, ...] = ()) -> str:
@@ -125,10 +170,16 @@ class StateVector:
     def _reduced(self) -> tuple[float, float]:
         """The pair ``(a[0], sum(a[1:]))``: all that component 0 of any family
         member's output depends on, computed in one O(n) pass once per vector
-        (the array is read-only).  An overflowing sum is inf, with no warning:
-        the output built from it is rejected."""
+        (the array is read-only), on two threads for a long tail.  A sum that
+        overflows raises StateFormatError, with no warning."""
+        tail = self.amplitudes[1:]
         with np.errstate(over="ignore"):
-            return float(self.amplitudes[0]), float(np.sum(self.amplitudes[1:]))
+            halves = _by_halves(tail.shape[0], lambda lo, hi: np.sum(tail[lo:hi]))
+            # np.sum adds the halves' sums as its pairwise sum adds the halves.
+            tail_sum = float(np.sum(halves))
+        if not math.isfinite(tail_sum):
+            raise StateFormatError("sum(a[1:]) overflows a float64")
+        return float(self.amplitudes[0]), tail_sum
 
     @classmethod
     def uniform(cls, n: int) -> StateVector:
