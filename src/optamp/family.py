@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DenseCapExceeded, DimensionError, ParameterOutOfRange
-from .state import StateVector, _by_halves, _require_dimension
+from .state import StateVector, _require_dimension, _sum_by_halves, _tree
 
 TWO_PI = 2.0 * math.pi
 
@@ -268,26 +268,33 @@ def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
     becomes eps2 * (a[i] + c(a)).  The map is an isometry, so the output
     norm equals the input norm up to roundoff.  The output is one new array
     written in one pass, negated in place when eps2 == -1: bit-identical to
-    eps2 * (a + c), signed zeros included, which (-c) - a would not be.  A
-    long vector is written in two halves on two threads, with the same bits.
-    An entry that overflows is inf, with no warning, and the output is refused.
+    eps2 * (a + c), signed zeros included, which (-c) - a would not be.
+    Slots 1..n-1 are written in ``_LEAF``-element blocks along numpy's
+    pairwise-sum tree, and each block is summed while it is still in cache,
+    so the output comes with its pair (out[0], sum(out[1:])), the sum
+    bit-identical to ``np.sum(out[1:])``; a long vector runs in two halves
+    on two threads, with the same bits.  An entry or tail sum that
+    overflows is inf, with no warning; an inf entry is refused.
     """
     _require_same_dimension(spec, a)
     s0, eps2 = spec.signs.effective
     p, q, r, t = _block(spec.n, spec.cos, spec.sin, s0)
     a0, tail_sum = a._reduced
-    src, c = a.amplitudes, r * a0 + t * tail_sum
+    src, c = a.amplitudes[1:], r * a0 + t * tail_sum
     out = np.empty(spec.n)
+    dst = out[1:]
 
-    def shift(lo: int, hi: int) -> None:
-        np.add(src[lo:hi], c, out=out[lo:hi])
+    def leaf(lo: int, hi: int) -> float:
+        block = dst[lo:hi]
+        np.add(src[lo:hi], c, out=block)
         if eps2 == -1:
-            np.negative(out[lo:hi], out=out[lo:hi])
+            np.negative(block, out=block)
+        return block.sum()
 
-    with np.errstate(over="ignore"):
-        _by_halves(spec.n, shift)
-    out[0] = p * a0 + q * tail_sum
-    return StateVector._adopt(spec.n, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_sum = _sum_by_halves(spec.n - 1, lambda lo, hi: _tree(lo, hi, leaf))
+    out[0] = out0 = p * a0 + q * tail_sum
+    return StateVector._adopt(spec.n, out, (out0, out_sum))
 
 
 def dense_matrix(spec: AmplifierSpec, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:

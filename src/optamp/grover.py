@@ -30,8 +30,15 @@ def diffusion_apply(a: StateVector) -> StateVector:
 
 
 def grover_apply(a: StateVector) -> StateVector:
-    """One search iteration: flip component 0, then diffuse."""
-    return diffusion_apply(flip_operator_apply(a))
+    """One search iteration: flip component 0, then diffuse, in one array.
+
+    The same arithmetic as ``diffusion_apply(flip_operator_apply(a))``, so
+    the same bits, with the diffusion written over the flipped copy.
+    """
+    out = a.amplitudes.copy()
+    out[0] = -out[0]
+    np.subtract(2.0 * float(np.mean(out)), out, out=out)
+    return StateVector._adopt(a.n, out)
 
 
 @dataclass(frozen=True)

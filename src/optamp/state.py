@@ -21,18 +21,26 @@ _CHUNK = 4096
 # From this many elements up, `_by_halves` runs an O(n) pass on two threads.
 _PARALLEL_MIN = 2**20
 
+# Elements per leaf of `_tree`: 512 KiB of float64, so a leaf's source and
+# output blocks fit in a 2 MiB L2 cache together.
+_LEAF = 2**16
+
+
+def _split(m: int) -> int:
+    """numpy's pairwise-sum split point of a contiguous run of ``m`` elements."""
+    return m // 2 - (m // 2) % 8
+
 
 def _by_halves(m: int, fn) -> tuple:
     """``(fn(0, m),)``, or ``(fn(0, h), fn(h, m))`` with the second half on a
     worker thread when ``m >= _PARALLEL_MIN`` and the process may run on two
-    CPUs.  ``h`` is numpy's pairwise-sum split point of a contiguous array,
-    so ``np.sum(x[:h]) + np.sum(x[h:])`` is ``np.sum(x)`` bit for bit.  The
-    worker runs under the caller's numpy error state, which does not reach a
-    new thread by itself.
+    CPUs.  ``h = _split(m)``, so ``np.sum(x[:h]) + np.sum(x[h:])`` is
+    ``np.sum(x)`` bit for bit.  The worker runs under the caller's numpy
+    error state, which does not reach a new thread by itself.
     """
     if m < _PARALLEL_MIN or _cpus() < 2:
         return (fn(0, m),)
-    h = m // 2 - (m // 2) % 8
+    h = _split(m)
     err = np.geterr()
     box: list = []
 
@@ -53,6 +61,28 @@ def _by_halves(m: int, fn) -> tuple:
     if not ok:
         raise second
     return first, second
+
+
+def _tree(lo: int, hi: int, leaf) -> float:
+    """``leaf(lo, hi)`` for at most ``_LEAF`` elements, else the ``_tree``
+    values of the two sides of ``_split(hi - lo)`` added left + right.  With
+    ``leaf(lo, hi) = np.sum(x[lo:hi])`` that is ``np.sum(x[lo:hi])`` bit for
+    bit: numpy's pairwise sum splits a contiguous run at the same points.
+    """
+    if hi - lo <= _LEAF:
+        return leaf(lo, hi)
+    h = lo + _split(hi - lo)
+    return _tree(lo, h, leaf) + _tree(h, hi, leaf)
+
+
+def _sum_by_halves(m: int, fn) -> float:
+    """``np.sum`` of a run of ``m`` elements from ``fn(lo, hi)``, its
+    ``np.sum`` over ``[lo, hi)``, run on each part of :func:`_by_halves`.
+    Call it under ``np.errstate(over="ignore", invalid="ignore")``."""
+    parts = _by_halves(m, fn)
+    # np.sum never returns -0.0, so one part is its own np.sum; two are
+    # added as numpy's pairwise sum adds the halves.
+    return float(parts[0]) if len(parts) == 1 else float(np.sum(parts))
 
 
 def _cpus() -> int:
@@ -94,7 +124,8 @@ def _squared_norm(arr: np.ndarray) -> float:
 
     A finite sum proves every entry finite.  Only a non-finite sum needs the
     entrywise check, to tell a NaN or infinity from finite squares that
-    overflow, such as (1e200, 1e200).
+    overflow, such as (1e200, 1e200).  An adopted output that comes with a
+    finite pair ``(a[0], sum(a[1:]))`` skips this pass: the pair is the proof.
     """
     with np.errstate(over="ignore"):
         sq = float(arr @ arr)
@@ -110,12 +141,14 @@ def _require_dimension(n: int) -> None:
 
 
 class _Adopted:
-    """A float64 array the library has just allocated and no one else holds."""
+    """A float64 array the library has just allocated and no one else holds,
+    with its pair ``(a[0], sum(a[1:]))`` when the operator that built it has it."""
 
-    __slots__ = ("array",)
+    __slots__ = ("array", "pair")
 
-    def __init__(self, array: np.ndarray) -> None:
+    def __init__(self, array: np.ndarray, pair: tuple[float, float] | None) -> None:
         self.array = array
+        self.pair = pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +160,12 @@ class StateVector:
     combinations, operator outputs) whose norm is established elsewhere.
     Operator outputs (``apply``, ``amplify_optimal``, the Grover and
     relabeling maps) adopt the array they have just built instead of copying
-    it; length and finiteness are checked either way.  The amplitude array is
-    read-only, so instances can be shared freely across threads.
+    it; length and finiteness are checked either way.  An output built with
+    its pair ``(a[0], sum(a[1:]))`` (``apply``) proves finiteness by that
+    pair when both members are finite, since a pairwise sum with an inf or
+    NaN term is inf or NaN, and keeps it as ``_reduced``; any other vector
+    is checked by one ``a @ a`` pass.  The amplitude array is read-only, so
+    instances can be shared freely across threads.
     """
 
     n: int
@@ -137,8 +174,9 @@ class StateVector:
 
     def __post_init__(self, check_norm: bool) -> None:
         _require_dimension(self.n)
+        pair = None
         if isinstance(self.amplitudes, _Adopted):
-            arr = self.amplitudes.array
+            arr, pair = self.amplitudes.array, self.amplitudes.pair
         else:
             try:
                 arr = np.array(self.amplitudes, dtype=np.float64)
@@ -146,11 +184,16 @@ class StateVector:
                 raise StateFormatError(f"amplitudes must fit in a float64: {exc}") from exc
         if arr.ndim != 1 or arr.shape[0] != self.n:
             raise DimensionError(f"expected {self.n} amplitudes, got shape {arr.shape}")
-        sq = _squared_norm(arr)
-        if check_norm and abs(sq - 1.0) > NORM_TOL:
-            raise NormalizationError(
-                f"squared norm {sq!r} deviates from 1 by more than {NORM_TOL}"
-            )
+        # A pairwise sum with an inf or NaN term is inf or NaN, so a finite
+        # pair proves every entry finite.
+        if not check_norm and pair is not None and all(map(math.isfinite, pair)):
+            object.__setattr__(self, "_reduced", pair)
+        else:
+            sq = _squared_norm(arr)
+            if check_norm and abs(sq - 1.0) > NORM_TOL:
+                raise NormalizationError(
+                    f"squared norm {sq!r} deviates from 1 by more than {NORM_TOL}"
+                )
         arr.flags.writeable = False
         object.__setattr__(self, "amplitudes", arr)
 
@@ -160,23 +203,25 @@ class StateVector:
         return cls(n, amplitudes, check_norm=False)
 
     @classmethod
-    def _adopt(cls, n: int, arr: np.ndarray) -> StateVector:
+    def _adopt(
+        cls, n: int, arr: np.ndarray, pair: tuple[float, float] | None = None
+    ) -> StateVector:
         """:meth:`unnormalized` without the copy, for a float64 array the caller
         has just allocated and drops; the array becomes read-only in place.
+        ``pair``, if given, must be ``(arr[0], np.sum(arr[1:]))`` bit for bit.
         It goes through the constructor, so the checks stay in one place."""
-        return cls(n, _Adopted(arr), check_norm=False)
+        return cls(n, _Adopted(arr, pair), check_norm=False)
 
     @cached_property
     def _reduced(self) -> tuple[float, float]:
         """The pair ``(a[0], sum(a[1:]))``: all that component 0 of any family
         member's output depends on, computed in one O(n) pass once per vector
-        (the array is read-only), on two threads for a long tail.  A sum that
-        overflows raises StateFormatError, with no warning."""
+        (the array is read-only), on two threads for a long tail, unless
+        ``apply`` computed it while writing the vector.  A sum that overflows
+        raises StateFormatError, with no warning."""
         tail = self.amplitudes[1:]
-        with np.errstate(over="ignore"):
-            halves = _by_halves(tail.shape[0], lambda lo, hi: np.sum(tail[lo:hi]))
-            # np.sum adds the halves' sums as its pairwise sum adds the halves.
-            tail_sum = float(np.sum(halves))
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail_sum = _sum_by_halves(tail.shape[0], lambda lo, hi: np.sum(tail[lo:hi]))
         if not math.isfinite(tail_sum):
             raise StateFormatError("sum(a[1:]) overflows a float64")
         return float(self.amplitudes[0]), tail_sum

@@ -143,3 +143,16 @@ def test_operator_outputs_cost_one_allocation():
     for name, call in calls.items():
         peak = traced_peak_bytes(call)
         assert peak <= PEAK_ALLOC_FACTOR * vec.amplitudes.nbytes, (name, peak / vec.amplitudes.nbytes)
+
+
+def test_grover_apply_costs_one_allocation_and_keeps_its_bits():
+    # The flip and the diffusion share one array; a -0.0 slot checks that
+    # writing over the flipped copy moves no bit of the two-step result.
+    n = 2**20 + 3
+    raw = vectors(n)[0].amplitudes.copy()
+    raw[n // 2] = -0.0
+    vec = StateVector.unnormalized(n, raw)
+    want = diffusion_apply(flip_operator_apply(vec)).amplitudes.tobytes()
+    assert grover_apply(vec).amplitudes.tobytes() == want
+    peak = traced_peak_bytes(lambda: grover_apply(vec))
+    assert peak <= PEAK_ALLOC_FACTOR * vec.amplitudes.nbytes, peak / vec.amplitudes.nbytes

@@ -15,6 +15,7 @@ from optamp import (
     SignChoice,
     StateFormatError,
     StateVector,
+    amplify_optimal,
     apply,
     c_functional,
     eta_functional,
@@ -23,7 +24,7 @@ from optamp import (
     optimal_theta,
     theta_sweep,
 )
-from optamp.state import _PARALLEL_MIN, _by_halves, _cpus
+from optamp.state import _LEAF, _PARALLEL_MIN, _by_halves, _cpus, _sum_by_halves, _tree
 
 # One sign pattern for each of the four (s0, eps2) operator classes.
 CLASSES = [SignChoice(e1, e2, 1, 1, 1) for e1 in (1, -1) for e2 in (1, -1)]
@@ -193,3 +194,63 @@ def test_forked_child_finishes_after_a_split_pass():
             child.kill()
             child.join()
     assert same and child.exitcode == 0
+
+
+TREE_SIZES = (1, 7, 8, 9, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 8, *EDGE_SIZES, 3 * 2**20 + 5)
+
+
+@pytest.mark.parametrize("m", TREE_SIZES)
+def test_tree_sum_is_np_sum(m):
+    raw = np.random.default_rng(m).standard_normal(m + 1)
+    for x in (raw[:m], raw[1:], np.full(m, -0.0)):
+        want = np.sum(x).tobytes()
+        assert np.float64(_tree(0, m, lambda lo, hi: np.sum(x[lo:hi]))).tobytes() == want
+        got = _sum_by_halves(m, lambda lo, hi: _tree(lo, hi, lambda a, b: np.sum(x[a:b])))
+        assert np.float64(got).tobytes() == want
+
+
+@pytest.mark.parametrize("n", (2, 3, 64, *EDGE_SIZES))
+def test_apply_output_carries_its_reduced_pair(n):
+    vec = random_vector(n)
+    for signs in CLASSES:
+        out = apply(make_spec(n, 0.7, signs), vec)
+        assert "_reduced" in out.__dict__
+        want = StateVector.unnormalized(n, out.amplitudes.copy())._reduced
+        assert np.array(out._reduced).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n", (64, _PARALLEL_MIN + 3))
+def test_apply_to_an_amplified_vector_matches_two_passes(n):
+    # The amplified vector's pair comes from apply, not from a sum of it.
+    amplified = amplify_optimal(random_vector(n))[0]
+    member = make_spec(n, 1.1, SignChoice.grover())
+    fresh = StateVector.unnormalized(n, amplified.amplitudes.copy())
+    want = apply_two_pass(member, fresh.amplitudes).tobytes()
+    assert apply(member, amplified).amplitudes.tobytes() == want
+
+
+def test_finite_output_with_overflowing_tail_sum_is_refused_lazily():
+    # Every entry of the output is finite, but its tail sum 4 * 5e307 is not:
+    # the output is built and checked by a @ a, and its pair is refused when read.
+    vec = StateVector.unnormalized(5, [1e308, 0, 0, 0, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply(make_spec(5, np.pi / 2, SignChoice.all_plus()), vec)
+        assert "_reduced" not in out.__dict__
+        assert np.isfinite(out.amplitudes).all()
+        with pytest.raises(StateFormatError):
+            out._reduced
+
+
+@pytest.mark.parametrize("n", (9, _PARALLEL_MIN + 3))
+def test_tail_sum_of_opposite_overflows_is_refused_without_warnings(n):
+    # The pairwise sum reaches +inf on one side and -inf on the other, and
+    # adds them to NaN.
+    raw = np.zeros(n)
+    raw[1] = raw[2] = 1e308
+    raw[-1] = raw[-2] = -1e308
+    vec = StateVector.unnormalized(n, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateFormatError):
+            vec._reduced
