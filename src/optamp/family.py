@@ -26,7 +26,14 @@ from itertools import product
 import numpy as np
 
 from .errors import DenseCapExceeded, DimensionError, ParameterOutOfRange
-from .state import StateVector, _require_dimension, _sum_by_halves, _tree
+from .state import (
+    StateVector,
+    _fresh,
+    _require_dimension,
+    _sum_by_halves,
+    _sum_of_squares,
+    _tree,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -266,9 +273,10 @@ def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
 
     Component 0 becomes eps1 * (a[0] + eta(a)); every other component i
     becomes eps2 * (a[i] + c(a)).  The map is an isometry, so the output
-    norm equals the input norm up to roundoff.  The output is one new array
-    written in one pass, negated in place when eps2 == -1: bit-identical to
-    eps2 * (a + c), signed zeros included, which (-c) - a would not be.
+    norm equals the input norm up to roundoff.  The output is one array from
+    ``state._fresh``, written in one pass, negated in place when eps2 == -1:
+    bit-identical to eps2 * (a + c), signed zeros included, which (-c) - a
+    would not be.
     Slots 1..n-1 are written in ``_LEAF``-element blocks along numpy's
     pairwise-sum tree, and each block is summed while it is still in cache,
     so the output comes with its pair (out[0], sum(out[1:])), the sum
@@ -281,7 +289,7 @@ def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
     p, q, r, t = _block(spec.n, spec.cos, spec.sin, s0)
     a0, tail_sum = a._reduced
     src, c = a.amplitudes[1:], r * a0 + t * tail_sum
-    out = np.empty(spec.n)
+    out = _fresh(spec.n)
     dst = out[1:]
 
     def leaf(lo: int, hi: int) -> float:
@@ -339,6 +347,7 @@ def isometry_residual(spec: AmplifierSpec, a: StateVector) -> float:
     """| ||U a||^2 - ||a||^2 |, the certificate of norm preservation.
 
     Runs :func:`apply`, so an image that overflows raises StateFormatError.
+    Both squared norms are numpy pairwise sums, so the residual is the same
+    on any number of CPUs.
     """
-    out = apply(spec, a).amplitudes
-    return abs(float(out @ out) - float(a.amplitudes @ a.amplitudes))
+    return abs(_sum_of_squares(apply(spec, a).amplitudes) - _sum_of_squares(a.amplitudes))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange
 from .family import AmplifierSpec, SignChoice, _pair_block, _spec_from_pair, dense_matrix
-from .state import StateVector, _join_records, _require_dimension, _write_text
+from .state import StateVector, _fresh, _fresh_copy, _join_records, _require_dimension, _write_text
 
 TRACE_HEADER = "step,amplitude0,probability0"
 
@@ -18,7 +18,7 @@ TraceRow = tuple[int, float, float]
 
 def flip_operator_apply(a: StateVector) -> StateVector:
     """Negate component 0 and leave the rest untouched; self-inverse."""
-    out = a.amplitudes.copy()
+    out = _fresh_copy(a.amplitudes)
     out[0] = -out[0]
     return StateVector._adopt(a.n, out)
 
@@ -26,7 +26,7 @@ def flip_operator_apply(a: StateVector) -> StateVector:
 def diffusion_apply(a: StateVector) -> StateVector:
     """Reflect about the uniform superposition: a_i -> 2*mean(a) - a_i."""
     arr = a.amplitudes
-    return StateVector._adopt(a.n, 2.0 * float(np.mean(arr)) - arr)
+    return StateVector._adopt(a.n, np.subtract(2.0 * float(np.mean(arr)), arr, out=_fresh(a.n)))
 
 
 def grover_apply(a: StateVector) -> StateVector:
@@ -35,7 +35,7 @@ def grover_apply(a: StateVector) -> StateVector:
     The same arithmetic as ``diffusion_apply(flip_operator_apply(a))``, so
     the same bits, with the diffusion written over the flipped copy.
     """
-    out = a.amplitudes.copy()
+    out = _fresh_copy(a.amplitudes)
     out[0] = -out[0]
     np.subtract(2.0 * float(np.mean(out)), out, out=out)
     return StateVector._adopt(a.n, out)

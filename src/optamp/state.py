@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import threading
+import weakref
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -20,6 +22,9 @@ _CHUNK = 4096
 
 # From this many elements up, `_by_halves` runs an O(n) pass on two threads.
 _PARALLEL_MIN = 2**20
+
+# Large arrays `_fresh` keeps for reuse: one chain step's input and its image.
+_RING_SIZE = 2
 
 # Elements per leaf of `_tree`: 512 KiB of float64, so a leaf's source and
 # output blocks fit in a 2 MiB L2 cache together.
@@ -92,6 +97,80 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _refs(ring: list, i: int) -> int:
+    """The reference count of ``ring[i]``, read the same way on every call."""
+    return sys.getrefcount(ring[i])
+
+
+# What `_refs` reads for an array nothing but its list holds.  The count
+# includes the call's own temporaries, which differ between interpreter
+# versions, so it is measured on a probe rather than written down.
+_ALONE = _refs([np.empty(1)], 0)
+
+
+def _new_ring() -> None:
+    """An empty ring under a new lock; a forked child starts from one, since
+    the parent's lock may have been held by a thread the child lacks."""
+    global _ring, _ring_lock
+    _ring, _ring_lock = [], threading.Lock()
+
+
+_new_ring()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_ring)
+
+
+def _fresh(n: int) -> np.ndarray:
+    """A writable float64 array of ``n`` elements that no live object reaches.
+
+    Below ``_PARALLEL_MIN`` elements it is ``np.empty(n)``.  From there up,
+    the last ``_RING_SIZE`` arrays handed out stay in a ring, and one of
+    length ``n`` that nothing else references, not even a weak reference, is
+    handed out again: its pages are already mapped, so the kernel need not
+    fault in and zero a new allocation.  A free-threaded build, where
+    another thread may take a reference between the count and the hand-out,
+    always allocates.
+    """
+    if n < _PARALLEL_MIN or not getattr(sys, "_is_gil_enabled", lambda: True)():
+        return np.empty(n)
+    with _ring_lock:
+        for i in range(len(_ring)):
+            if (
+                _ring[i].shape[0] == n
+                and _refs(_ring, i) == _ALONE
+                and not weakref.getweakrefcount(_ring[i])
+            ):
+                arr = _ring.pop(i)
+                arr.flags.writeable = True
+                break
+        else:
+            arr = np.empty(n)
+        _ring.append(arr)
+        del _ring[:-_RING_SIZE]
+    return arr
+
+
+def _fresh_copy(arr: np.ndarray) -> np.ndarray:
+    """A writable copy of ``arr`` in a :func:`_fresh` array."""
+    out = _fresh(arr.shape[0])
+    np.copyto(out, arr)
+    return out
+
+
+def _sum_of_squares(arr: np.ndarray) -> float:
+    """``np.sum(arr * arr)`` bit for bit, squared and summed in ``_LEAF``-element
+    blocks along numpy's pairwise-sum tree, on two threads for a long array.
+    Unlike ``arr @ arr``, which OpenBLAS splits by its thread count, the
+    result does not depend on the number of CPUs."""
+
+    def leaf(lo: int, hi: int) -> float:
+        block = arr[lo:hi]
+        return np.sum(block * block)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sum_by_halves(arr.shape[0], lambda lo, hi: _tree(lo, hi, leaf))
+
+
 def _join_records(sep: str, record: str, table: np.ndarray, head: tuple[str, ...] = ()) -> str:
     """The ``head`` lines, then ``record`` filled from each row of ``table``,
     joined by ``sep``; a 1-D ``table`` has one value per row.
@@ -141,7 +220,7 @@ def _require_dimension(n: int) -> None:
 
 
 class _Adopted:
-    """A float64 array the library has just allocated and no one else holds,
+    """A float64 array the library has just built (see `_fresh`) and no one else holds,
     with its pair ``(a[0], sum(a[1:]))`` when the operator that built it has it."""
 
     __slots__ = ("array", "pair")
@@ -207,7 +286,8 @@ class StateVector:
         cls, n: int, arr: np.ndarray, pair: tuple[float, float] | None = None
     ) -> StateVector:
         """:meth:`unnormalized` without the copy, for a float64 array the caller
-        has just allocated and drops; the array becomes read-only in place.
+        has just taken from :func:`_fresh`, filled and drops; the array becomes
+        read-only in place.
         ``pair``, if given, must be ``(arr[0], np.sum(arr[1:]))`` bit for bit.
         It goes through the constructor, so the checks stay in one place."""
         return cls(n, _Adopted(arr, pair), check_norm=False)

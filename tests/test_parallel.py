@@ -24,6 +24,7 @@ from optamp import (
     optimal_theta,
     theta_sweep,
 )
+from optamp import state
 from optamp.state import _LEAF, _PARALLEL_MIN, _by_halves, _cpus, _sum_by_halves, _tree
 
 # One sign pattern for each of the four (s0, eps2) operator classes.
@@ -254,3 +255,16 @@ def test_tail_sum_of_opposite_overflows_is_refused_without_warnings(n):
         warnings.simplefilter("error")
         with pytest.raises(StateFormatError):
             vec._reduced
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_sum_of_squares_is_np_sum_on_any_cpu_count(monkeypatch, cpus):
+    # a @ a is OpenBLAS's, split by its thread count; this sum is numpy's.
+    monkeypatch.setattr(state, "_cpus", lambda: cpus)
+    n = _PARALLEL_MIN + 3
+    x = np.random.default_rng(n).standard_normal(n)
+    assert np.float64(state._sum_of_squares(x)).tobytes() == np.sum(x * x).tobytes()
+    huge = np.full(n, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert state._sum_of_squares(huge) == np.inf
