@@ -157,20 +157,6 @@ def _fresh_copy(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sum_of_squares(arr: np.ndarray) -> float:
-    """``np.sum(arr * arr)`` bit for bit, squared and summed in ``_LEAF``-element
-    blocks along numpy's pairwise-sum tree, on two threads for a long array.
-    Unlike ``arr @ arr``, which OpenBLAS splits by its thread count, the
-    result does not depend on the number of CPUs."""
-
-    def leaf(lo: int, hi: int) -> float:
-        block = arr[lo:hi]
-        return np.sum(block * block)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _sum_by_halves(arr.shape[0], lambda lo, hi: _tree(lo, hi, leaf))
-
-
 def _join_records(sep: str, record: str, table: np.ndarray, head: tuple[str, ...] = ()) -> str:
     """The ``head`` lines, then ``record`` filled from each row of ``table``,
     joined by ``sep``; a 1-D ``table`` has one value per row.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .family import (
@@ -33,10 +35,15 @@ _CASES = 100
 
 
 def random_unit_vector(rng: np.random.Generator, n: int) -> StateVector:
-    """Normalize a standard-normal sample; the documented generator contract."""
+    """Normalize a standard-normal sample; the documented generator contract.
+
+    The norm is a numpy pairwise sum, not ``np.linalg.norm``, whose BLAS dot
+    product is split by the thread count, so the vector does not depend on
+    the number of CPUs.
+    """
     while True:
         raw = rng.standard_normal(n)
-        norm = float(np.linalg.norm(raw))
+        norm = math.sqrt(float(np.sum(raw * raw)))
         if norm > 1e-6:
             return StateVector(n, raw / norm)
 

@@ -3,9 +3,12 @@ the same bits as one pass on either side of the split, no warning from the
 worker, safe under concurrent callers and after a fork."""
 
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,6 @@ from optamp import (
     optimal_theta,
     theta_sweep,
 )
-from optamp import state
 from optamp.state import _LEAF, _PARALLEL_MIN, _by_halves, _cpus, _sum_by_halves, _tree
 
 # One sign pattern for each of the four (s0, eps2) operator classes.
@@ -257,14 +259,42 @@ def test_tail_sum_of_opposite_overflows_is_refused_without_warnings(n):
             vec._reduced
 
 
-@pytest.mark.parametrize("cpus", (1, 2))
-def test_sum_of_squares_is_np_sum_on_any_cpu_count(monkeypatch, cpus):
-    # a @ a is OpenBLAS's, split by its thread count; this sum is numpy's.
-    monkeypatch.setattr(state, "_cpus", lambda: cpus)
-    n = _PARALLEL_MIN + 3
-    x = np.random.default_rng(n).standard_normal(n)
-    assert np.float64(state._sum_of_squares(x)).tobytes() == np.sum(x * x).tobytes()
-    huge = np.full(n, 1e200)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert state._sum_of_squares(huge) == np.inf
+# Prints verify's JSON for a few seeds and isometry residuals at a
+# two-thread size, pinned to one CPU when argv[1] is "one".  The pin comes
+# before numpy is imported, since OpenBLAS fixes its thread count at load.
+_CPU_PROBE = """
+import json, os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from optamp import SignChoice, isometry_residual, make_spec
+from optamp.verify import random_unit_vector, run_verification
+for seed in range(4):
+    print(json.dumps(run_verification(seed, 2**17)))
+n = 2**20 + 3
+vec = random_unit_vector(np.random.default_rng(n), n)
+for signs in SignChoice.enumerate()[:4]:
+    print(repr(isometry_residual(make_spec(n, 1.0, signs), vec)))
+"""
+
+
+def test_verify_bytes_do_not_depend_on_the_cpu_count():
+    # np.linalg.norm and a @ a are OpenBLAS dot products, which a long
+    # vector splits by the thread count; either one in verify changes bytes.
+    if not hasattr(os, "sched_setaffinity") or _cpus() < 2:
+        pytest.skip("the process cannot be run on one CPU and on two")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    one, every = (
+        subprocess.run(
+            [sys.executable, "-c", _CPU_PROBE, side],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout
+        for side in ("one", "every")
+    )
+    assert one.count("\n") == 8
+    assert one == every
