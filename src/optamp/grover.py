@@ -109,9 +109,10 @@ def corollary_equivalence_check(n: int) -> float:
 
 
 def dumps_trace_csv(rows: list[TraceRow]) -> str:
-    # A step count is exact in a float64 and prints through %d as the integer.
+    # A step count below 2**53 is exact in a float64, and %.17g prints an
+    # integer below 10**17 as %d does.
     table = np.array(rows, dtype=np.float64).reshape(-1, 3)
-    return _join_records("\n", "%d,%.17g,%.17g", table, head=(TRACE_HEADER,)) + "\n"
+    return _join_records("\n", table, head=(TRACE_HEADER,)) + "\n"
 
 
 def write_trace_csv(rows: list[TraceRow], path) -> None:

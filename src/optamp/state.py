@@ -17,8 +17,9 @@ from .errors import DimensionError, NormalizationError, StateFormatError
 
 NORM_TOL = 1e-9
 
-# Rows formatted per `%` operation by `_join_records`.
-_CHUNK = 4096
+# Values `_join_records` formats per `_text.format_rows` call: 16 Ki float64
+# give a 512 KiB word array, a fixed amount of memory beside the text.
+_CHUNK = 2**14
 
 # From this many elements up, `_by_halves` runs an O(n) pass on two threads.
 _PARALLEL_MIN = 2**20
@@ -127,19 +128,17 @@ def _fresh(n: int) -> np.ndarray:
     the last ``_RING_SIZE`` arrays handed out stay in a ring, and one of
     length ``n`` that nothing else references, not even a weak reference, is
     handed out again: its pages are already mapped, so the kernel need not
-    fault in and zero a new allocation.  A free-threaded build, where
-    another thread may take a reference between the count and the hand-out,
-    always allocates.
+    fault in and zero a new allocation.  Arrays of any other length leave
+    the ring, so it never holds more than the current working size.  A
+    free-threaded build, where another thread may take a reference between
+    the count and the hand-out, always allocates.
     """
     if n < _PARALLEL_MIN or not getattr(sys, "_is_gil_enabled", lambda: True)():
         return np.empty(n)
     with _ring_lock:
+        _ring[:] = [arr for arr in _ring if arr.shape[0] == n]
         for i in range(len(_ring)):
-            if (
-                _ring[i].shape[0] == n
-                and _refs(_ring, i) == _ALONE
-                and not weakref.getweakrefcount(_ring[i])
-            ):
+            if _refs(_ring, i) == _ALONE and not weakref.getweakrefcount(_ring[i]):
                 arr = _ring.pop(i)
                 arr.flags.writeable = True
                 break
@@ -157,21 +156,29 @@ def _fresh_copy(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _join_records(sep: str, record: str, table: np.ndarray, head: tuple[str, ...] = ()) -> str:
-    """The ``head`` lines, then ``record`` filled from each row of ``table``,
-    joined by ``sep``; a 1-D ``table`` has one value per row.
+def _join_records(sep: str, table: np.ndarray, head: tuple[str, ...] = ()) -> str:
+    """The ``head`` lines, then each row of ``table`` as its values joined by
+    ``,``, all joined by ``sep`` (at most three characters); a 1-D ``table``
+    has one value per row.
 
-    Each run of ``_CHUNK`` rows is formatted by one ``%`` on one format
-    string, which costs a fraction of a call per value and keeps only one
-    chunk's Python floats alive.  ``%.17g`` gives the same bytes as
-    ``format(x, ".17g")`` for every double, and 17 significant digits
-    round-trip any double exactly.
+    Every value is written as ``'%.17g' % x``, byte for byte, which is
+    ``format(x, ".17g")``: 17 significant digits round-trip any double
+    exactly.  About ``_CHUNK`` values at a time go through one exact
+    vectorized pass (see ``_text``), so only one chunk's words and the
+    text itself are alive at once.
     """
+    # Loaded on first use: a process that writes no text never loads it.
+    from ._text import format_rows
+
+    if len(table) == 0:
+        return sep.join(head)
+    rows = table.reshape(len(table), -1)
+    step = max(1, _CHUNK // rows.shape[1])
     chunks = [
-        sep.join([record] * len(chunk)) % tuple(chunk.ravel().tolist())
-        for chunk in (table[i : i + _CHUNK] for i in range(0, len(table), _CHUNK))
+        format_rows(rows[i : i + step], sep).decode("ascii") for i in range(0, len(rows), step)
     ]
-    return sep.join([*head, *chunks])
+    chunks[-1] = chunks[-1][: -len(sep)]
+    return "".join([*(line + sep for line in head), *chunks])
 
 
 def _dumps_json(obj) -> str:
@@ -308,7 +315,11 @@ class StateVector:
         return cls(n, arr)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """sqrt(sum(a_i^2)), with the squares summed as ``np.sum(a * a)`` adds
+        them, bit for bit on any number of CPUs, one leaf of squares at a time."""
+        a = self.amplitudes
+        with np.errstate(over="ignore"):
+            return math.sqrt(_tree(0, self.n, lambda lo, hi: np.sum(np.square(a[lo:hi]))))
 
     def normalized(self) -> StateVector:
         """Rescale to exact unit norm."""
@@ -324,8 +335,9 @@ class StateVector:
 
 
 def dumps_state_vector(state: StateVector) -> str:
-    """Serialize to the shared JSON format with 17-significant-digit floats."""
-    body = _join_records(", ", "%.17g", state.amplitudes)
+    """Serialize to the shared JSON format, each amplitude as ``'%.17g' % x``
+    (17 significant digits, so loading it back gives the same bits)."""
+    body = _join_records(", ", state.amplitudes)
     return f'{{"n": {state.n}, "amplitudes": [{body}]}}\n'
 
 

@@ -278,9 +278,9 @@ for signs in SignChoice.enumerate()[:4]:
 """
 
 
-def test_verify_bytes_do_not_depend_on_the_cpu_count():
-    # np.linalg.norm and a @ a are OpenBLAS dot products, which a long
-    # vector splits by the thread count; either one in verify changes bytes.
+def on_one_and_every_cpu(probe: str) -> tuple[str, str]:
+    """The stdout of ``probe`` run in a child pinned to one CPU, and in one
+    on every CPU."""
     if not hasattr(os, "sched_setaffinity") or _cpus() < 2:
         pytest.skip("the process cannot be run on one CPU and on two")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -288,7 +288,7 @@ def test_verify_bytes_do_not_depend_on_the_cpu_count():
     env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
     one, every = (
         subprocess.run(
-            [sys.executable, "-c", _CPU_PROBE, side],
+            [sys.executable, "-c", probe, side],
             capture_output=True,
             text=True,
             env=env,
@@ -296,5 +296,40 @@ def test_verify_bytes_do_not_depend_on_the_cpu_count():
         ).stdout
         for side in ("one", "every")
     )
+    return one, every
+
+
+def test_verify_bytes_do_not_depend_on_the_cpu_count():
+    # np.linalg.norm and a @ a are OpenBLAS dot products, which a long
+    # vector splits by the thread count; either one in verify changes bytes.
+    one, every = on_one_and_every_cpu(_CPU_PROBE)
     assert one.count("\n") == 8
     assert one == every
+
+
+# Prints StateVector.norm of seeded vectors, pinned to one CPU when argv[1]
+# is "one", at sizes where an OpenBLAS dot product differed by CPU count.
+_NORM_PROBE = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from optamp import StateVector
+for n in (20000, 100003, 2000000):
+    for seed in range(20):
+        raw = np.random.default_rng([n, seed]).standard_normal(n)
+        print(repr(StateVector.unnormalized(n, raw).norm()))
+"""
+
+
+def test_norm_does_not_depend_on_the_cpu_count():
+    one, every = on_one_and_every_cpu(_NORM_PROBE)
+    assert one.count("\n") == 60
+    assert one == every
+
+
+@pytest.mark.parametrize("n", (7, _LEAF + 1, _PARALLEL_MIN + 3, 3 * 2**20 + 5))
+def test_norm_is_the_root_of_np_sum_of_squares(n):
+    raw = np.random.default_rng(n).standard_normal(n)
+    want = np.float64(np.sqrt(np.sum(raw * raw)))
+    assert np.float64(StateVector.unnormalized(n, raw).norm()).tobytes() == want.tobytes()

@@ -134,6 +134,13 @@ def test_ring_holds_at_most_two_arrays():
     assert len(state._ring) == 2
 
 
+def test_ring_drops_arrays_of_another_length():
+    apply(make_spec(N, 0.7, SignChoice.grover()), random_vector(N))
+    longer = N + 8
+    out = apply(make_spec(longer, 0.7, SignChoice.grover()), random_vector(longer))
+    assert ring_ids() == [id(out.amplitudes)]
+
+
 def inputs_with_signed_zeros(n: int) -> list[StateVector]:
     """A random vector with a -0.0 slot, and one on which the Grover-sign
     member writes -0.0: sum(a[1:]) = 0 and a[k] = -c(a), so eps2 = -1 negates

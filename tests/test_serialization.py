@@ -3,16 +3,20 @@ oracles in ``reference``; the CLI on arbitrary state documents."""
 
 import io
 import json
+import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
+    format_float,
     reference_dumps_state_vector,
     reference_dumps_sweep_csv,
     reference_dumps_trace_csv,
@@ -30,6 +34,7 @@ from optamp import (
 from optamp.cli import main
 from optamp.grover import dumps_trace_csv
 from optamp.optimal import dumps_sweep_csv
+from optamp.state import _CHUNK, _join_records
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, 1 / 3, 0.1, 1e17]
 
@@ -172,3 +177,105 @@ def test_bool_amplitude_exits_2(tmp_path):
     code, err = run_amplify(str(path))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def written(values) -> str:
+    return _join_records("\n", np.array(values, dtype=np.float64))
+
+
+def wanted(values) -> str:
+    return "\n".join(map(format_float, values))
+
+
+def exact_tie(k: int, pick: int) -> float:
+    """A double ``x`` with ``x * 10**(16 - k)`` in ``[10**16, 10**17)`` and
+    ending in exactly ``.5``, so its 17-digit rounding is a tie:
+    ``o * 2**(k - 17)`` with ``o`` odd, ``o < 2**53`` and ``5**(16 - k) * o``
+    in ``[2 * 10**16, 2 * 10**17)``, for -8 <= k <= 15; ``pick`` chooses ``o``."""
+    five = 5 ** (16 - k)
+    low = -(-2 * 10**16 // five) | 1
+    high = min(2 * 10**17 // five, 2**53)
+    return math.ldexp(low + 2 * (pick % ((high - low) // 2)), k - 17)
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+# One strategy for each class of values the vectorized pass sends to `%`.
+fallback_values = st.one_of(
+    st.builds(exact_tie, st.integers(-8, 15), st.integers(0, 2**60)),
+    st.floats(min_value=-1e-280, max_value=1e-280),  # +-0, subnormals and tiny normals
+    st.floats(min_value=1e280, allow_infinity=False),
+    st.floats(max_value=-1e280, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.integers(-300, 300).map(lambda j: float(f"1e{j}")),  # digits 10**16, or log10 off by one
+    st.floats(min_value=10.0, max_value=1e17),  # fixed notation, '.' inside the digits
+    st.floats(min_value=-1e17, max_value=-10.0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(finite_doubles, min_size=1, max_size=40))
+def test_text_of_any_finite_doubles_is_format_17g(values):
+    assert written(values) == wanted(values)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(fallback_values, finite_doubles), min_size=1, max_size=40))
+def test_text_of_every_fallback_class_is_format_17g(values):
+    assert written(values) == wanted(values)
+
+
+def test_exact_ties_round_half_to_even():
+    # 1 + 2**-17 = 1.00000762939453125: the 17th digit 2 stays even.
+    assert exact_tie(0, 0) == 1 + 2**-17
+    assert written([1 + 2**-17]) == "1.0000076293945312"
+    values = [exact_tie(k, pick) for k in range(-8, 16) for pick in range(0, 4000, 7)]
+    for x in values[::97]:
+        scaled = Fraction(x) * Fraction(10) ** (16 - math.floor(math.log10(x)))
+        assert scaled.denominator == 2 and 10**16 < scaled < 10**17
+    values += [-x for x in values] + [math.nextafter(x, math.inf) for x in values]
+    assert written(values) == wanted(values)
+
+
+def test_powers_of_ten_and_their_neighbours():
+    values = [float(f"1e{j}") for j in range(-323, 309)] + [10.0**j for j in range(-300, 300)]
+    values += [math.nextafter(x, to) for x in values for to in (0.0, math.inf)]
+    values += [float(j) for j in range(-1000, 1000)] + [2.0**j for j in range(-1074, 1024)]
+    assert written(values) == wanted(values)
+
+
+def test_a_million_random_bit_patterns():
+    bits = np.random.default_rng(20261018).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert written(values) == wanted(values.tolist())
+
+
+# Around the writers' chunk: _CHUNK values of the state, _CHUNK // 3 rows of a CSV.
+CSV_CHUNK = _CHUNK // 3
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_state_writer_at_the_chunk_edge(n):
+    vec = StateVector.unnormalized(n, edge_values(n))
+    assert dumps_state_vector(vec) == reference_dumps_state_vector(vec)
+
+
+@pytest.mark.parametrize("n", [CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 1])
+def test_csv_writers_at_the_chunk_edge(n):
+    values = edge_values(n).tolist()
+    rows = list(zip(values, reversed(values)))
+    assert dumps_sweep_csv(rows) == reference_dumps_sweep_csv(rows)
+    steps = [(step, x, y) for step, (x, y) in enumerate(rows)]
+    assert dumps_trace_csv(steps) == reference_dumps_trace_csv(steps)
+
+
+def test_writers_warn_about_nothing():
+    values = [*edge_values(64).tolist(), 1e300, -1e-300, 1e280, 123.0, 12.5]
+    rows = list(zip(values, reversed(values))) + [(math.nan, math.inf), (-math.inf, 1e200)]
+    steps = [(step, x, y) for step, (x, y) in enumerate(rows)]
+    vec = StateVector.unnormalized(len(values), values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dumps_state_vector(vec) == reference_dumps_state_vector(vec)
+        assert dumps_sweep_csv(rows) == reference_dumps_sweep_csv(rows)
+        assert dumps_trace_csv(steps) == reference_dumps_trace_csv(steps)
