@@ -31,6 +31,7 @@ from .state import (
     _fresh,
     _require_dimension,
     _sum_by_halves,
+    _sum_of_squares,
     _tree,
 )
 
@@ -346,10 +347,5 @@ def isometry_residual(spec: AmplifierSpec, a: StateVector) -> float:
     """| ||U a||^2 - ||a||^2 |, the certificate of norm preservation.
 
     Runs :func:`apply`, so an image that overflows raises StateFormatError.
-    Both squared norms are numpy pairwise sums rather than BLAS dot
-    products, which are split by the thread count, so the residual is the
-    same on any number of CPUs.
     """
-    out, x = apply(spec, a).amplitudes, a.amplitudes
-    with np.errstate(over="ignore", invalid="ignore"):
-        return abs(float(np.sum(out * out)) - float(np.sum(x * x)))
+    return abs(_sum_of_squares(apply(spec, a).amplitudes) - _sum_of_squares(a.amplitudes))

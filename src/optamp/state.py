@@ -21,11 +21,17 @@ NORM_TOL = 1e-9
 # give a 512 KiB word array, a fixed amount of memory beside the text.
 _CHUNK = 2**14
 
-# From this many elements up, `_by_halves` runs an O(n) pass on two threads.
+# From this many elements up, `_sum_by_halves` runs an O(n) pass on two threads.
 _PARALLEL_MIN = 2**20
 
 # Large arrays `_fresh` keeps for reuse: one chain step's input and its image.
 _RING_SIZE = 2
+
+# The smallest sum of squares `StateVector.norm` takes unscaled.  A square
+# below 2**-1022 rounds to a multiple of 2**-1074, so n of them move a sum of
+# at least 2**-968 by under n * 2**-107 of it: below half an ulp up to 2**53
+# entries.
+_SQUARES_MIN = 2.0**-968
 
 # Elements per leaf of `_tree`: 512 KiB of float64, so a leaf's source and
 # output blocks fit in a 2 MiB L2 cache together.
@@ -37,15 +43,18 @@ def _split(m: int) -> int:
     return m // 2 - (m // 2) % 8
 
 
-def _by_halves(m: int, fn) -> tuple:
-    """``(fn(0, m),)``, or ``(fn(0, h), fn(h, m))`` with the second half on a
-    worker thread when ``m >= _PARALLEL_MIN`` and the process may run on two
-    CPUs.  ``h = _split(m)``, so ``np.sum(x[:h]) + np.sum(x[h:])`` is
-    ``np.sum(x)`` bit for bit.  The worker runs under the caller's numpy
-    error state, which does not reach a new thread by itself.
+def _sum_by_halves(m: int, fn) -> float:
+    """``np.sum`` of a run of ``m`` elements, from ``fn(lo, hi)``, the
+    ``np.sum`` of its part ``[lo, hi)``.  That is ``fn(0, m)``, or, when
+    ``m >= _PARALLEL_MIN`` and the process may run on two CPUs, ``fn(0, h)``
+    here and ``fn(h, m)`` on a worker thread, added as numpy's pairwise sum
+    adds them: ``h = _split(m)``, so the result is the same bit for bit.
+    The worker runs under the caller's numpy error state, which does not
+    reach a new thread by itself, and its exception is raised here.  Call
+    it under ``np.errstate(over="ignore", invalid="ignore")``.
     """
     if m < _PARALLEL_MIN or _cpus() < 2:
-        return (fn(0, m),)
+        return float(fn(0, m))
     h = _split(m)
     err = np.geterr()
     box: list = []
@@ -66,7 +75,7 @@ def _by_halves(m: int, fn) -> tuple:
     ok, second = box[0]
     if not ok:
         raise second
-    return first, second
+    return float(np.sum((first, second)))
 
 
 def _tree(lo: int, hi: int, leaf) -> float:
@@ -74,6 +83,9 @@ def _tree(lo: int, hi: int, leaf) -> float:
     values of the two sides of ``_split(hi - lo)`` added left + right.  With
     ``leaf(lo, hi) = np.sum(x[lo:hi])`` that is ``np.sum(x[lo:hi])`` bit for
     bit: numpy's pairwise sum splits a contiguous run at the same points.
+    It recurses at module level: a closure that called itself would be a
+    reference cycle, and would keep ``apply``'s output alive past the
+    reference count `_fresh` reads.
     """
     if hi - lo <= _LEAF:
         return leaf(lo, hi)
@@ -81,14 +93,21 @@ def _tree(lo: int, hi: int, leaf) -> float:
     return _tree(lo, h, leaf) + _tree(h, hi, leaf)
 
 
-def _sum_by_halves(m: int, fn) -> float:
-    """``np.sum`` of a run of ``m`` elements from ``fn(lo, hi)``, its
-    ``np.sum`` over ``[lo, hi)``, run on each part of :func:`_by_halves`.
-    Call it under ``np.errstate(over="ignore", invalid="ignore")``."""
-    parts = _by_halves(m, fn)
-    # np.sum never returns -0.0, so one part is its own np.sum; two are
-    # added as numpy's pairwise sum adds the halves.
-    return float(parts[0]) if len(parts) == 1 else float(np.sum(parts))
+def _sum_of_squares(arr: np.ndarray) -> float:
+    """``np.sum(arr * arr)`` of a contiguous 1-D array, bit for bit, on any
+    number of CPUs, with no full-size temporary: one ``_LEAF`` of squares
+    at a time, on two threads from ``_PARALLEL_MIN`` elements up.  A BLAS
+    dot product (``arr @ arr``, ``np.linalg.norm``) splits the sum by its
+    thread count, so its last bits depend on the CPU count; every sum of
+    squares that reaches a result comes from here.  Overflow gives inf,
+    with no warning.
+    """
+
+    def leaf(lo: int, hi: int) -> float:
+        return np.sum(np.square(arr[lo:hi]))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sum_by_halves(arr.shape[0], lambda lo, hi: _tree(lo, hi, leaf))
 
 
 def _cpus() -> int:
@@ -194,10 +213,14 @@ def _write_text(path, text: str) -> None:
 def _squared_norm(arr: np.ndarray) -> float:
     """sum(a_i^2) in one pass; raises StateFormatError on a non-finite entry.
 
-    A finite sum proves every entry finite.  Only a non-finite sum needs the
-    entrywise check, to tell a NaN or infinity from finite squares that
-    overflow, such as (1e200, 1e200).  An adopted output that comes with a
-    finite pair ``(a[0], sum(a[1:]))`` skips this pass: the pair is the proof.
+    The one sum of squares left to BLAS: ``a @ a`` takes under half the
+    time of :func:`_sum_of_squares` at 2^26, and this sum only decides the
+    ``NORM_TOL`` check, never a result, so bits that depend on the CPU
+    count do no harm here.  A finite sum proves every entry finite.  Only a
+    non-finite sum needs the entrywise check, to tell a NaN or infinity from
+    finite squares that overflow, such as (1e200, 1e200).  An adopted output
+    that comes with a finite pair ``(a[0], sum(a[1:]))`` skips this pass:
+    the pair is the proof.
     """
     with np.errstate(over="ignore"):
         sq = float(arr @ arr)
@@ -314,19 +337,36 @@ class StateVector:
         arr[index] = 1.0
         return cls(n, arr)
 
-    def norm(self) -> float:
-        """sqrt(sum(a_i^2)), with the squares summed as ``np.sum(a * a)`` adds
-        them, bit for bit on any number of CPUs, one leaf of squares at a time."""
+    def _scaled(self) -> tuple[np.ndarray, float, int]:
+        """``(b, sum(b_i^2), e)`` with ``a = b * 2**e``.  ``b`` is ``a`` itself
+        unless its sum of squares falls outside ``[_SQUARES_MIN, inf)`` while
+        some entry is nonzero; then ``b`` is ``a`` scaled by the power of two
+        that brings max|a_i| into [1/2, 1), exactly, subnormal entries
+        included, so the squares neither overflow nor underflow (Blue's
+        scaled norm, ACM TOMS 1978)."""
         a = self.amplitudes
-        with np.errstate(over="ignore"):
-            return math.sqrt(_tree(0, self.n, lambda lo, hi: np.sum(np.square(a[lo:hi]))))
+        sq = _sum_of_squares(a)
+        if _SQUARES_MIN <= sq < math.inf:
+            return a, sq, 0
+        big = float(max(a.max(), -a.min()))
+        if big == 0.0:
+            return a, sq, 0
+        e = math.frexp(big)[1]
+        b = np.ldexp(a, -e)
+        return b, _sum_of_squares(b), e
+
+    def norm(self) -> float:
+        """sqrt(sum(a_i^2)) for any finite entries: the root of
+        :func:`_sum_of_squares`, rescaled by :meth:`_scaled` out of range."""
+        _, sq, e = self._scaled()
+        return math.ldexp(math.sqrt(sq), e)
 
     def normalized(self) -> StateVector:
-        """Rescale to exact unit norm."""
-        norm = self.norm()
-        if norm == 0.0:
+        """Rescale to exact unit norm; any nonzero finite vector has one."""
+        b, sq, _ = self._scaled()
+        if sq == 0.0:
             raise NormalizationError("cannot normalize the zero vector")
-        return StateVector(self.n, self.amplitudes / norm)
+        return StateVector(self.n, b / math.sqrt(sq))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{x:.6g}" for x in self.amplitudes[:4])

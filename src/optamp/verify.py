@@ -20,7 +20,7 @@ from .family import (
 from .grover import corollary_equivalence_check, grover_apply, grover_iterate
 from .optimal import amplify_optimal, theta_sweep
 from .search import SearchProblem, one_step_search
-from .state import StateVector
+from .state import StateVector, _sum_of_squares
 
 # Dense-backed checks (matrix reconstruction, involution products) run at a
 # clamped dimension so `verify` stays fast at any requested n.
@@ -35,15 +35,10 @@ _CASES = 100
 
 
 def random_unit_vector(rng: np.random.Generator, n: int) -> StateVector:
-    """Normalize a standard-normal sample; the documented generator contract.
-
-    The norm is a numpy pairwise sum, not ``np.linalg.norm``, whose BLAS dot
-    product is split by the thread count, so the vector does not depend on
-    the number of CPUs.
-    """
+    """Normalize a standard-normal sample; the documented generator contract."""
     while True:
         raw = rng.standard_normal(n)
-        norm = math.sqrt(float(np.sum(raw * raw)))
+        norm = math.sqrt(_sum_of_squares(raw))
         if norm > 1e-6:
             return StateVector(n, raw / norm)
 

@@ -19,6 +19,7 @@ from optamp import (
     flip_operator_apply,
     grover_apply,
     grover_iterate,
+    isometry_residual,
     make_spec,
     relabel_apply,
     theta_sweep,
@@ -156,3 +157,12 @@ def test_grover_apply_costs_one_allocation_and_keeps_its_bits():
     assert grover_apply(vec).amplitudes.tobytes() == want
     peak = traced_peak_bytes(lambda: grover_apply(vec))
     assert peak <= PEAK_ALLOC_FACTOR * vec.amplitudes.nbytes, peak / vec.amplitudes.nbytes
+
+
+def test_isometry_residual_builds_no_full_size_temporary():
+    # The image is the one full-size array; the squares go a leaf at a time.
+    n = 2**18
+    vec = vectors(n)[0]
+    spec = make_spec(n, 0.7, SignChoice.grover())
+    peak = traced_peak_bytes(lambda: isometry_residual(spec, vec))
+    assert peak <= 1.5 * vec.amplitudes.nbytes, peak / vec.amplitudes.nbytes

@@ -27,7 +27,7 @@ from optamp import (
     optimal_theta,
     theta_sweep,
 )
-from optamp.state import _LEAF, _PARALLEL_MIN, _by_halves, _cpus, _sum_by_halves, _tree
+from optamp.state import _LEAF, _PARALLEL_MIN, _cpus, _sum_by_halves, _sum_of_squares, _tree
 
 # One sign pattern for each of the four (s0, eps2) operator classes.
 CLASSES = [SignChoice(e1, e2, 1, 1, 1) for e1 in (1, -1) for e2 in (1, -1)]
@@ -45,22 +45,24 @@ def random_vector(n: int) -> StateVector:
 
 def test_split_rule():
     calls = []
+    here = threading.get_ident()
 
     def record(lo, hi):
-        calls.append((lo, hi))
+        calls.append((lo, hi, threading.get_ident()))
         return hi - lo
 
-    assert _by_halves(_PARALLEL_MIN - 1, record) == (_PARALLEL_MIN - 1,)
-    assert calls == [(0, _PARALLEL_MIN - 1)]
+    assert _sum_by_halves(_PARALLEL_MIN - 1, record) == _PARALLEL_MIN - 1
+    assert calls == [(0, _PARALLEL_MIN - 1, here)]
     calls.clear()
     m = _PARALLEL_MIN + 21
-    parts = _by_halves(m, record)
+    assert _sum_by_halves(m, record) == m
     if _cpus() < 2:
-        assert parts == (m,)
+        assert calls == [(0, m, here)]
         return
     h = m // 2 - (m // 2) % 8
-    assert parts == (h, m - h)
-    assert sorted(calls) == [(0, h), (h, m)]
+    first, second = sorted(calls)
+    assert first == (0, h, here)
+    assert second[:2] == (h, m) and second[2] != here
 
 
 def test_worker_exception_reaches_the_caller():
@@ -72,7 +74,7 @@ def test_worker_exception_reaches_the_caller():
     if _cpus() < 2:
         pytest.skip("the process may run on one CPU only, so nothing splits")
     with pytest.raises(ZeroDivisionError):
-        _by_halves(_PARALLEL_MIN, fail_in_second_half)
+        _sum_by_halves(_PARALLEL_MIN, fail_in_second_half)
 
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
@@ -210,6 +212,8 @@ def test_tree_sum_is_np_sum(m):
         assert np.float64(_tree(0, m, lambda lo, hi: np.sum(x[lo:hi]))).tobytes() == want
         got = _sum_by_halves(m, lambda lo, hi: _tree(lo, hi, lambda a, b: np.sum(x[a:b])))
         assert np.float64(got).tobytes() == want
+        assert np.float64(_sum_of_squares(x)).tobytes() == np.sum(x * x).tobytes()
+    assert _sum_of_squares(np.full(m, 1e200)) == np.inf  # no warning either
 
 
 @pytest.mark.parametrize("n", (2, 3, 64, *EDGE_SIZES))

@@ -2,6 +2,7 @@
 dropped outputs: the same bits as a new allocation, and never memory that a
 live object can still reach."""
 
+import gc
 import multiprocessing
 import sys
 import threading
@@ -22,11 +23,13 @@ from optamp import (
     diffusion_apply,
     flip_operator_apply,
     grover_apply,
+    isometry_residual,
     make_spec,
     relabel_apply,
 )
 from optamp import state
 from optamp.state import _PARALLEL_MIN, _RING_SIZE
+from optamp.verify import random_unit_vector
 
 N = _PARALLEL_MIN + 3
 
@@ -236,6 +239,25 @@ def test_chained_apply_after_a_drop_allocates_almost_nothing():
     apply(spec, amplify_optimal(vec)[0])
     peak = traced_peak_bytes(lambda: apply(spec, amplify_optimal(vec)[0]))
     assert peak < 0.01 * vec.amplitudes.nbytes, peak / vec.amplitudes.nbytes
+
+
+def test_the_large_passes_leave_no_cyclic_garbage():
+    # A cycle through a closure would keep an output alive until the cycle
+    # collector runs, past the reference count that decides its reuse.
+    vec = random_vector(N)
+    spec = make_spec(N, 0.7, SignChoice.grover())
+    gc.collect()
+    gc.disable()
+    try:
+        StateVector.unnormalized(N, vec.amplitudes)._reduced
+        apply(spec, vec)
+        amplify_optimal(vec)
+        vec.norm()
+        isometry_residual(spec, vec)
+        random_unit_vector(np.random.default_rng(N), N)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_free_threaded_build_always_allocates(monkeypatch):

@@ -104,6 +104,29 @@ def test_normalized_helper():
         StateVector.unnormalized(2, [0.0, 0.0]).normalized()
 
 
+# Sums of squares that overflow, underflow to zero, or keep only a few
+# digits as a subnormal, and subnormal entries.
+OUT_OF_RANGE = (
+    [1e200, 1e200],
+    [1e-200, 1e-200],
+    [3e-170, 4e-170],
+    [3e-160, 4e-160],
+    [5e-324, 5e-324],
+)
+
+
+@pytest.mark.parametrize("amps", OUT_OF_RANGE)
+def test_norm_and_normalized_out_of_range(amps):
+    vec = StateVector.unnormalized(2, amps)
+    want = math.hypot(*amps)
+    assert abs(vec.norm() - want) <= math.ulp(want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = vec.normalized()
+    assert abs(unit.norm() - 1.0) < 1e-15
+    assert unit.amplitudes[1] / unit.amplitudes[0] == pytest.approx(amps[1] / amps[0], rel=1e-15)
+
+
 def test_amplitudes_are_read_only():
     vec = StateVector.uniform(4)
     with pytest.raises(ValueError):
