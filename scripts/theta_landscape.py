@@ -5,7 +5,7 @@ import argparse
 
 import numpy as np
 
-from optamp import amplify_optimal, optimal_theta, theta_sweep, write_sweep_csv
+from optamp import amplify_optimal, dumps_sweep_csv, optimal_theta, theta_sweep
 from optamp.verify import random_unit_vector
 
 
@@ -20,7 +20,8 @@ def main() -> None:
     vec = random_unit_vector(np.random.default_rng(args.seed), args.n)
 
     rows = theta_sweep(vec, points=args.points)
-    write_sweep_csv(rows, args.output)
+    with open(args.output, "w", encoding="utf-8") as handle:
+        handle.write(dumps_sweep_csv(rows))
 
     theta_star = optimal_theta(vec)
     _, report = amplify_optimal(vec)

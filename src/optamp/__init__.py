@@ -27,21 +27,16 @@ from .family import (
 from .grover import (
     GroverOperator,
     corollary_equivalence_check,
-    diffusion_apply,
     dumps_trace_csv,
-    flip_operator_apply,
     grover_apply,
     grover_iterate,
-    write_trace_csv,
 )
 from .optimal import (
     AmplifyReport,
     amplify_optimal,
     dumps_sweep_csv,
-    is_absolute_optimal,
     optimal_theta,
     theta_sweep,
-    write_sweep_csv,
 )
 from .search import (
     ComparisonReport,
@@ -83,15 +78,12 @@ __all__ = [
     "compare_with_grover",
     "corollary_equivalence_check",
     "dense_matrix",
-    "diffusion_apply",
     "dumps_state_vector",
     "dumps_sweep_csv",
     "dumps_trace_csv",
     "eta_functional",
-    "flip_operator_apply",
     "grover_apply",
     "grover_iterate",
-    "is_absolute_optimal",
     "isometry_residual",
     "load_state_vector",
     "loads_state_vector",
@@ -103,6 +95,4 @@ __all__ = [
     "relabel_apply",
     "save_state_vector",
     "theta_sweep",
-    "write_sweep_csv",
-    "write_trace_csv",
 ]

@@ -1,4 +1,5 @@
-"""Classic search: flip Z, diffusion D about the uniform vector, and D @ Z, a family member."""
+"""Classic search: the step D @ Z (flip Z, then diffusion D about the uniform
+vector), a family member."""
 
 from __future__ import annotations
 
@@ -9,31 +10,19 @@ import numpy as np
 
 from .errors import ParameterOutOfRange
 from .family import AmplifierSpec, SignChoice, _pair_block, _spec_from_pair, dense_matrix
-from .state import StateVector, _fresh, _fresh_copy, _join_records, _require_dimension, _write_text
+from .state import StateVector, _fresh_copy, _join_records, _require_dimension
 
 TRACE_HEADER = "step,amplitude0,probability0"
 
 TraceRow = tuple[int, float, float]
 
 
-def flip_operator_apply(a: StateVector) -> StateVector:
-    """Negate component 0 and leave the rest untouched; self-inverse."""
-    out = _fresh_copy(a.amplitudes)
-    out[0] = -out[0]
-    return StateVector._adopt(a.n, out)
-
-
-def diffusion_apply(a: StateVector) -> StateVector:
-    """Reflect about the uniform superposition: a_i -> 2*mean(a) - a_i."""
-    arr = a.amplitudes
-    return StateVector._adopt(a.n, np.subtract(2.0 * float(np.mean(arr)), arr, out=_fresh(a.n)))
-
-
 def grover_apply(a: StateVector) -> StateVector:
-    """One search iteration: flip component 0, then diffuse, in one array.
+    """One search iteration: flip component 0, then reflect every component
+    about the mean, a_i -> 2*mean(a) - a_i, in one array.
 
-    The same arithmetic as ``diffusion_apply(flip_operator_apply(a))``, so
-    the same bits, with the diffusion written over the flipped copy.
+    ``tests/reference.py`` keeps the two-factor form, the flip and the
+    diffusion as two operators, and this step must match it bit for bit.
     """
     out = _fresh_copy(a.amplitudes)
     out[0] = -out[0]
@@ -43,21 +32,12 @@ def grover_apply(a: StateVector) -> StateVector:
 
 @dataclass(frozen=True)
 class GroverOperator:
-    """Dense views of the flip Z, uniform projector P, diffusion D, and D @ Z."""
+    """Dense views of the diffusion D and of the iteration D @ Z."""
 
     n: int
 
     def __post_init__(self) -> None:
         _require_dimension(self.n)
-
-    def flip_matrix(self) -> np.ndarray:
-        z = np.eye(self.n)
-        z[0, 0] = -1.0
-        return z
-
-    def projector(self) -> np.ndarray:
-        """|v><v| for the uniform unit vector v."""
-        return np.full((self.n, self.n), 1.0 / self.n)
 
     def diffusion_matrix(self) -> np.ndarray:
         """2|v><v| - 1, built in one (n, n) array."""
@@ -113,7 +93,3 @@ def dumps_trace_csv(rows: list[TraceRow]) -> str:
     # integer below 10**17 as %d does.
     table = np.array(rows, dtype=np.float64).reshape(-1, 3)
     return _join_records("\n", table, head=(TRACE_HEADER,)) + "\n"
-
-
-def write_trace_csv(rows: list[TraceRow], path) -> None:
-    _write_text(path, dumps_trace_csv(rows))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, SumZero
 from .family import TWO_PI, SignChoice, _block, apply, make_spec, reduce_angle
-from .state import StateVector, _dumps_json, _join_records, _write_text
+from .state import StateVector, _dumps_json, _join_records
 
 SWEEP_HEADER = "theta,amplitude0,probability0"
 
@@ -106,17 +106,8 @@ def theta_sweep(
     return list(zip(theta.tolist(), amp.tolist()))
 
 
-def is_absolute_optimal(report: AmplifyReport) -> bool:
-    """True when the post-application probability of component 0 is 1 within tolerance."""
-    return report.absolute
-
-
 def dumps_sweep_csv(rows: list[SweepRow]) -> str:
     theta, amp = np.array(rows, dtype=np.float64).reshape(-1, 2).T
     with np.errstate(over="ignore"):  # an amplitude past 1e154 squares to inf, as in Python
         table = np.column_stack([theta, amp, amp * amp])
     return _join_records("\n", table, head=(SWEEP_HEADER,)) + "\n"
-
-
-def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    _write_text(path, dumps_sweep_csv(rows))

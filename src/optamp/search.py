@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,20 +24,6 @@ class SearchProblem:
         _require_dimension(self.n)
         if not 0 <= self.marked < self.n:
             raise ParameterOutOfRange(f"marked index {self.marked} outside [0, {self.n})")
-
-    def predicate(self, index: int) -> bool:
-        """The membership test: true exactly on the marked index."""
-        return index == self.marked
-
-    @classmethod
-    def from_predicate(cls, n: int, predicate: Callable[[int], bool]) -> SearchProblem:
-        """Locate the marked index by evaluating the predicate on every basis index."""
-        hits = [i for i in range(n) if predicate(i)]
-        if len(hits) != 1:
-            raise ParameterOutOfRange(
-                f"predicate must mark exactly one index in [0, {n}), marked {len(hits)}"
-            )
-        return cls(n, hits[0])
 
 
 def relabel_apply(p: SearchProblem, a: StateVector) -> StateVector:

@@ -14,16 +14,34 @@ The writers format one value per call with ``format(x, ".17g")``; the
 library's chunked writers must give the same bytes.  `reference_loads_state_vector`
 validates a state document element by element with ``isinstance``; the
 library's single type scan must accept and reject the same documents.
+
+The classic step's two factors, `flip_operator_apply` and `diffusion_apply`,
+are `optamp.grover_apply` written as two operators; the one-array step must
+match their composition bit for bit.  `flip_matrix`, `projector`,
+`is_absolute_optimal`, `predicate`, `from_predicate` and `write_trace_csv`
+are helpers only the tests use.
 """
 
 import json
+from typing import Callable
 
 import numpy as np
 
-from optamp import SearchProblem, SignChoice, StateFormatError, StateVector, grover_apply, make_spec
+from optamp import (
+    AmplifyReport,
+    ParameterOutOfRange,
+    SearchProblem,
+    SignChoice,
+    StateFormatError,
+    StateVector,
+    dumps_trace_csv,
+    grover_apply,
+    make_spec,
+)
 from optamp.family import TWO_PI
 from optamp.grover import TRACE_HEADER
 from optamp.optimal import SWEEP_HEADER
+from optamp.state import _fresh, _fresh_copy, _write_text
 
 
 def apply_reference(spec, arr: np.ndarray) -> np.ndarray:
@@ -48,6 +66,50 @@ def apply_two_pass(spec, arr: np.ndarray) -> np.ndarray:
     out = eps2 * (arr + (r * a0 + t * tail_sum))
     out[0] = p * a0 + q * tail_sum
     return out
+
+
+def flip_operator_apply(a: StateVector) -> StateVector:
+    """Negate component 0 and leave the rest untouched; self-inverse."""
+    out = _fresh_copy(a.amplitudes)
+    out[0] = -out[0]
+    return StateVector._adopt(a.n, out)
+
+
+def diffusion_apply(a: StateVector) -> StateVector:
+    """Reflect about the uniform superposition: a_i -> 2*mean(a) - a_i."""
+    arr = a.amplitudes
+    return StateVector._adopt(a.n, np.subtract(2.0 * float(np.mean(arr)), arr, out=_fresh(a.n)))
+
+
+def flip_matrix(n: int) -> np.ndarray:
+    z = np.eye(n)
+    z[0, 0] = -1.0
+    return z
+
+
+def projector(n: int) -> np.ndarray:
+    """|v><v| for the uniform unit vector v."""
+    return np.full((n, n), 1.0 / n)
+
+
+def is_absolute_optimal(report: AmplifyReport) -> bool:
+    """True when the post-application probability of component 0 is 1 within tolerance."""
+    return report.absolute
+
+
+def predicate(p: SearchProblem, index: int) -> bool:
+    """The membership test: true exactly on the marked index."""
+    return index == p.marked
+
+
+def from_predicate(n: int, predicate: Callable[[int], bool]) -> SearchProblem:
+    """Locate the marked index by evaluating the predicate on every basis index."""
+    hits = [i for i in range(n) if predicate(i)]
+    if len(hits) != 1:
+        raise ParameterOutOfRange(
+            f"predicate must mark exactly one index in [0, {n}), marked {len(hits)}"
+        )
+    return SearchProblem(n, hits[0])
 
 
 def relabel_matrix(p: SearchProblem) -> np.ndarray:
@@ -122,3 +184,7 @@ def reference_loads_state_vector(text: str) -> StateVector:
     if len(amps) != n:
         raise StateFormatError(f'"n" is {n} but {len(amps)} amplitudes were given')
     return StateVector(n, amps)
+
+
+def write_trace_csv(rows, path) -> None:
+    _write_text(path, dumps_trace_csv(rows))

@@ -1,5 +1,6 @@
 """CLI surface: commands, artifact files, exit codes, determinism."""
 
+import gc
 import io
 import json
 import subprocess
@@ -456,4 +457,27 @@ def test_module_entry_point_runs():
         check=False,
     )
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["found_index"] == 2
+
+
+def test_in_process_main_leaves_the_collector_unfrozen():
+    # Only the command's entry, optamp.__main__.run, freezes what the
+    # imports made; main() is also called in process, as here.
+    before = gc.get_freeze_count()
+    with redirect_stdout(io.StringIO()):
+        assert main(["search", "--n", "8", "--marked", "2"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_command_entry_freezes_the_imports_then_runs_main():
+    code = (
+        "import gc, sys\n"
+        "from optamp.__main__ import run\n"
+        "sys.argv = ['optamp', 'search', '--n', '8', '--marked', '2']\n"
+        "status = run()\n"
+        "print(status, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "0 True\n"
     assert json.loads(proc.stdout)["found_index"] == 2

@@ -6,7 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import apply_two_pass, reference_grover_iterate, reference_theta_sweep
+from reference import (
+    apply_two_pass,
+    diffusion_apply,
+    flip_operator_apply,
+    reference_grover_iterate,
+    reference_theta_sweep,
+)
 
 from optamp import (
     SearchProblem,
@@ -15,8 +21,6 @@ from optamp import (
     amplify_optimal,
     apply,
     compare_with_grover,
-    diffusion_apply,
-    flip_operator_apply,
     grover_apply,
     grover_iterate,
     isometry_residual,

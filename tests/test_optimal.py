@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import is_absolute_optimal
 
 from optamp import (
     ParameterOutOfRange,
@@ -13,7 +14,6 @@ from optamp import (
     SumZero,
     amplify_optimal,
     dumps_sweep_csv,
-    is_absolute_optimal,
     optimal_theta,
     theta_sweep,
 )

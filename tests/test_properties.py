@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference import diffusion_apply, flip_operator_apply
 
 from optamp import (
     ConditionViolated,
@@ -14,9 +15,7 @@ from optamp import (
     StateVector,
     apply,
     dense_matrix,
-    diffusion_apply,
     dumps_state_vector,
-    flip_operator_apply,
     grover_apply,
     isometry_residual,
     loads_state_vector,

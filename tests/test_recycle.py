@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from reference import apply_two_pass
+from reference import apply_two_pass, diffusion_apply, flip_operator_apply
 from test_fast_paths import traced_peak_bytes
 
 from optamp import (
@@ -20,8 +20,6 @@ from optamp import (
     StateVector,
     amplify_optimal,
     apply,
-    diffusion_apply,
-    flip_operator_apply,
     grover_apply,
     isometry_residual,
     make_spec,

