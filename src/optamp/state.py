@@ -381,18 +381,30 @@ def dumps_state_vector(state: StateVector) -> str:
     return f'{{"n": {state.n}, "amplitudes": [{body}]}}\n'
 
 
-def loads_state_vector(text: str) -> StateVector:
-    """Parse the shared JSON format; structural errors raise StateFormatError."""
+def loads_state_vector(text: str | bytes) -> StateVector:
+    """Parse the shared JSON format, from ``str`` or UTF-8 ``bytes``;
+    structural errors raise StateFormatError."""
+    # Loaded on first use: a process that reads no state file never loads it.
+    import orjson
+
+    # A state document is one object around one flat list, so a second "["
+    # or "{" marks an invalid one, or one that repeats a key.  orjson 3.8
+    # crashes the process on a deep closed nest such as
+    # "[" * 10**6 + "]" * 10**6, so no nest reaches it.  `find` runs at
+    # memchr speed, where `count` would take milliseconds.
+    for bracket in ("[", "{") if isinstance(text, str) else (b"[", b"{"):
+        if text.find(bracket, text.find(bracket) + 1) >= 0:
+            raise StateFormatError("expected one object around one flat list of amplitudes")
     try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        obj = orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
         raise StateFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"n", "amplitudes"}:
         raise StateFormatError('expected an object with exactly "n" and "amplitudes"')
     n, amps = obj["n"], obj["amplitudes"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise StateFormatError('"n" must be an integer')
-    # json.loads builds exact int, float and bool, never a subclass, so one
+    # orjson builds exact int, float and bool, never a subclass, so one
     # scan of the types accepts ints and floats and rejects bools.
     if not isinstance(amps, list) or not set(map(type, amps)) <= {int, float}:
         raise StateFormatError('"amplitudes" must be a list of numbers')
@@ -406,5 +418,5 @@ def save_state_vector(state: StateVector, path) -> None:
 
 
 def load_state_vector(path) -> StateVector:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return loads_state_vector(handle.read())

@@ -164,12 +164,58 @@ def test_malformed_input_file_exits_2(tmp_path, capsys):
 
 
 def test_deeply_nested_input_file_exits_2(tmp_path, capsys):
-    # json.loads raises RecursionError, not a ValueError, on deep nesting.
+    # An unclosed nest: json.loads raised RecursionError, not a ValueError, here.
     bad = tmp_path / "deep.json"
     bad.write_text("[" * 100000, encoding="utf-8")
     assert main(["amplify", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "optamp", *argv],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"[" * 10**6 + b"]" * 10**6,  # crashed orjson 3.8.3 with SIGSEGV
+        b'{"n": 2, "amplitudes": [0.6, 0.8], "a": ' + b'{"a": ' * 10**5 + b"1}" + b"}" * 10**5,
+        b'{"n": 2, "amplitudes": [0.6, 0.8], "amplitudes": [0.8, 0.6]}',
+        b'\xef\xbb\xbf{"n": 2, "amplitudes": [0.6, 0.8]}',
+        b'{"n": 2, "amplitudes": [0.6, 0.8], "\xff": 1}',
+    ],
+    ids=["closed-nest", "object-nest", "repeated-key", "bom", "invalid-utf8"],
+)
+def test_bad_state_file_exits_2_in_a_fresh_process(tmp_path, body):
+    # A fresh process, so a parser that crashes fails this test, not the run.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    proc = run_module("amplify", "--input", str(bad))
+    assert proc.returncode == 2
+    err = [line for line in proc.stderr.splitlines() if not line.startswith("import time:")]
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def imported(proc):
+    """The modules a ``-X importtime`` run imported."""
+    lines = proc.stderr.splitlines()
+    return {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+
+
+def test_only_a_command_that_reads_a_file_imports_the_parser(tmp_path):
+    proc = run_module("search", "--n", "8", "--marked", "2")
+    assert proc.returncode == 0
+    assert "numpy" in imported(proc) and "orjson" not in imported(proc)
+    inp = write_uniform(tmp_path, 4)
+    proc = run_module("amplify", "--input", str(inp))
+    assert proc.returncode == 0
+    assert "orjson" in imported(proc)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from optamp import (
     loads_state_vector,
     theta_sweep,
 )
+from optamp import state as state_module
 from optamp.cli import main
 from optamp.grover import dumps_trace_csv
 from optamp.optimal import dumps_sweep_csv
@@ -143,6 +145,83 @@ def test_loader_accepts_and_rejects_as_the_per_element_scan(text):
     if want is not None:
         assert got.n == want.n
         assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+# Each loader below parses a document of these numbers into a StateVector.
+# Their squared norm is far from 1, so the norm check is switched off.
+@pytest.fixture
+def any_norm(monkeypatch):
+    monkeypatch.setattr(state_module, "NORM_TOL", math.inf)
+
+
+def assert_loads_the_same_bits(numbers):
+    """The loader, fed the UTF-8 bytes or the text of a state document
+    holding ``numbers`` (JSON number literals), gives the reference's bits."""
+    text = f'{{"n": {len(numbers)}, "amplitudes": [{", ".join(numbers)}]}}'
+    want = reference_loads_state_vector(text).amplitudes.view(np.uint64)
+    for doc in (text.encode("ascii"), text):
+        got = loads_state_vector(doc)
+        assert got.n == len(numbers)
+        assert np.array_equal(got.amplitudes.view(np.uint64), want)
+
+
+def decimal_literal(value: Decimal, extra: str = "") -> str:
+    """``value`` as a JSON number ``<digits>e<exponent>``, exactly, with
+    ``extra`` appended to its digits (one unit in a further place)."""
+    sign, digits, exponent = value.as_tuple()
+    return "-" * sign + "".join(map(str, digits)) + extra + f"e{exponent - len(extra)}"
+
+
+def test_loader_reads_the_writers_text_of_random_bit_patterns(any_norm):
+    bits = np.random.default_rng(20261019).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    text = dumps_state_vector(StateVector.unnormalized(len(values), values))
+    for doc in (text.encode("ascii"), text):
+        got = loads_state_vector(doc)
+        assert np.array_equal(got.amplitudes.view(np.uint64), values.view(np.uint64))
+    assert_loads_the_same_bits(text[text.index("[") + 1 : text.index("]")].split(", "))
+
+
+def test_loader_reads_random_decimals_as_the_reference(any_norm):
+    rng = np.random.default_rng(17)
+    numbers = []
+    for _ in range(20_000):
+        width = int(rng.integers(1, 41))
+        digits = "".join(map(str, rng.integers(0, 10, size=width)))
+        digits = str(rng.integers(1, 10)) + digits[1:]
+        sign = "-" if rng.integers(2) else ""
+        point = f"{digits[0]}.{digits[1:]}" if width > 1 else digits
+        numbers.append(f"{sign}{point}e{int(rng.integers(-345, 308))}")
+    assert_loads_the_same_bits(numbers)
+
+
+def test_loader_rounds_midpoints_between_doubles_as_the_reference(any_norm):
+    bits = np.random.default_rng(18).integers(0, 2**63, size=3000, dtype=np.uint64)
+    values = [x for x in bits.view(np.float64).tolist() if x < np.finfo(np.float64).max]
+    values += [5e-324, 2.2250738585072014e-308, 1.0, 2.0**53, 0.1]
+    numbers = []
+    with localcontext() as ctx:
+        ctx.prec = 1200  # exact: a midpoint has under 800 significant digits
+        for x in values:
+            mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+            for literal in (decimal_literal(mid), decimal_literal(mid, "0" * 30 + "1")):
+                numbers += [literal, "-" + literal]
+    assert_loads_the_same_bits(numbers)
+
+
+def test_loader_reads_integers_past_two_to_the_64_as_the_reference(any_norm):
+    rng = np.random.default_rng(19)
+    numbers = [str(2**64), str(2**64 + 1), str(2**64 + 2**11), str(2**64 + 3 * 2**11)]
+    # orjson reads integers below -2**63 as doubles and up to 2**64 - 1 as ints.
+    numbers += [str(2**63), str(2**64 - 1), str(-(2**63) - 1), str(-(2**64) + 1)]
+    for _ in range(5000):
+        width = int(rng.integers(65, 1024))
+        value = int(rng.integers(2**62, 2**63)) << (width - 63) | int(rng.integers(2**62))
+        # An odd 54-bit head over zeros: exactly halfway between two doubles.
+        tie = (int(rng.integers(2**52, 2**53)) * 2 + 1) << (width - 54)
+        numbers += [str(value), str(-value), str(tie), str(-tie)]
+    assert_loads_the_same_bits(numbers)
 
 
 def run_amplify(path):
