@@ -31,7 +31,6 @@ from .state import (
     _fresh,
     _require_dimension,
     _sum_by_halves,
-    _sum_of_squares,
     _tree,
 )
 
@@ -299,20 +298,19 @@ def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
             np.negative(block, out=block)
         return block.sum()
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        out_sum = _sum_by_halves(spec.n - 1, lambda lo, hi: _tree(lo, hi, leaf))
+    out_sum = _sum_by_halves(spec.n - 1, lambda lo, hi: _tree(lo, hi, leaf))
     out[0] = out0 = p * a0 + q * tail_sum
     return StateVector._adopt(spec.n, out, (out0, out_sum))
 
 
-def dense_matrix(spec: AmplifierSpec, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
+def dense_matrix(spec: AmplifierSpec) -> np.ndarray:
     """Materialize the operator as an (n, n) float array.
 
-    Refuses dimensions above ``cap`` (quadratic memory); the matrix-free
-    :func:`apply` has no such limit.
+    Refuses dimensions above ``DENSE_CAP_DEFAULT`` (quadratic memory); the
+    matrix-free :func:`apply` has no such limit.
     """
-    if spec.n > cap:
-        raise DenseCapExceeded(f"n={spec.n} exceeds the dense cap {cap}")
+    if spec.n > DENSE_CAP_DEFAULT:
+        raise DenseCapExceeded(f"n={spec.n} exceeds the dense cap {DENSE_CAP_DEFAULT}")
     n = spec.n
     s0, eps2 = spec.signs.effective
     p, q, r, t = _block(n, spec.cos, spec.sin, s0)
@@ -347,5 +345,6 @@ def isometry_residual(spec: AmplifierSpec, a: StateVector) -> float:
     """| ||U a||^2 - ||a||^2 |, the certificate of norm preservation.
 
     Runs :func:`apply`, so an image that overflows raises StateFormatError.
+    Both squared norms are the vectors' kept ``_squares``.
     """
-    return abs(_sum_of_squares(apply(spec, a).amplitudes) - _sum_of_squares(a.amplitudes))
+    return abs(apply(spec, a)._squares - a._squares)

@@ -49,33 +49,35 @@ def _sum_by_halves(m: int, fn) -> float:
     ``m >= _PARALLEL_MIN`` and the process may run on two CPUs, ``fn(0, h)``
     here and ``fn(h, m)`` on a worker thread, added as numpy's pairwise sum
     adds them: ``h = _split(m)``, so the result is the same bit for bit.
-    The worker runs under the caller's numpy error state, which does not
-    reach a new thread by itself, and its exception is raised here.  Call
-    it under ``np.errstate(over="ignore", invalid="ignore")``.
+    Overflow gives inf and opposite infinities NaN, with no warning, on
+    both halves; the worker otherwise runs under the caller's numpy error
+    state, which does not reach a new thread by itself, and its exception
+    is raised here.
     """
-    if m < _PARALLEL_MIN or _cpus() < 2:
-        return float(fn(0, m))
-    h = _split(m)
-    err = np.geterr()
-    box: list = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m < _PARALLEL_MIN or _cpus() < 2:
+            return float(fn(0, m))
+        h = _split(m)
+        err = np.geterr()
+        box: list = []
 
-    def second_half() -> None:
-        with np.errstate(**err):
-            try:
-                box.append((True, fn(h, m)))
-            except BaseException as exc:  # raised again on the calling thread
-                box.append((False, exc))
+        def second_half() -> None:
+            with np.errstate(**err):
+                try:
+                    box.append((True, fn(h, m)))
+                except BaseException as exc:  # raised again on the calling thread
+                    box.append((False, exc))
 
-    worker = threading.Thread(target=second_half)
-    worker.start()
-    try:
-        first = fn(0, h)
-    finally:
-        worker.join()
-    ok, second = box[0]
-    if not ok:
-        raise second
-    return float(np.sum((first, second)))
+        worker = threading.Thread(target=second_half)
+        worker.start()
+        try:
+            first = fn(0, h)
+        finally:
+            worker.join()
+        ok, second = box[0]
+        if not ok:
+            raise second
+        return float(np.sum((first, second)))
 
 
 def _tree(lo: int, hi: int, leaf) -> float:
@@ -99,15 +101,13 @@ def _sum_of_squares(arr: np.ndarray) -> float:
     at a time, on two threads from ``_PARALLEL_MIN`` elements up.  A BLAS
     dot product (``arr @ arr``, ``np.linalg.norm``) splits the sum by its
     thread count, so its last bits depend on the CPU count; every sum of
-    squares that reaches a result comes from here.  Overflow gives inf,
-    with no warning.
+    squares comes from here.  Overflow gives inf, with no warning.
     """
 
     def leaf(lo: int, hi: int) -> float:
         return np.sum(np.square(arr[lo:hi]))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _sum_by_halves(arr.shape[0], lambda lo, hi: _tree(lo, hi, leaf))
+    return _sum_by_halves(arr.shape[0], lambda lo, hi: _tree(lo, hi, leaf))
 
 
 def _cpus() -> int:
@@ -210,25 +210,6 @@ def _write_text(path, text: str) -> None:
         handle.write(text)
 
 
-def _squared_norm(arr: np.ndarray) -> float:
-    """sum(a_i^2) in one pass; raises StateFormatError on a non-finite entry.
-
-    The one sum of squares left to BLAS: ``a @ a`` takes under half the
-    time of :func:`_sum_of_squares` at 2^26, and this sum only decides the
-    ``NORM_TOL`` check, never a result, so bits that depend on the CPU
-    count do no harm here.  A finite sum proves every entry finite.  Only a
-    non-finite sum needs the entrywise check, to tell a NaN or infinity from
-    finite squares that overflow, such as (1e200, 1e200).  An adopted output
-    that comes with a finite pair ``(a[0], sum(a[1:]))`` skips this pass:
-    the pair is the proof.
-    """
-    with np.errstate(over="ignore"):
-        sq = float(arr @ arr)
-    if not math.isfinite(sq) and not np.isfinite(arr).all():
-        raise StateFormatError("amplitudes must all be finite")
-    return sq
-
-
 def _require_dimension(n: int) -> None:
     """The rule every type here shares: a dimension is at least 2."""
     if n < 2:
@@ -259,8 +240,8 @@ class StateVector:
     its pair ``(a[0], sum(a[1:]))`` (``apply``) proves finiteness by that
     pair when both members are finite, since a pairwise sum with an inf or
     NaN term is inf or NaN, and keeps it as ``_reduced``; any other vector
-    is checked by one ``a @ a`` pass.  The amplitude array is read-only, so
-    instances can be shared freely across threads.
+    is checked by its sum of squares, kept as ``_squares``.  The amplitude
+    array is read-only, so instances can be shared freely across threads.
     """
 
     n: int
@@ -284,11 +265,17 @@ class StateVector:
         if not check_norm and pair is not None and all(map(math.isfinite, pair)):
             object.__setattr__(self, "_reduced", pair)
         else:
-            sq = _squared_norm(arr)
+            # A finite sum proves every entry finite.  Only a non-finite sum
+            # needs the entrywise check, to tell a NaN or infinity from
+            # finite squares that overflow, such as (1e200, 1e200).
+            sq = _sum_of_squares(arr)
+            if not math.isfinite(sq) and not np.isfinite(arr).all():
+                raise StateFormatError("amplitudes must all be finite")
             if check_norm and abs(sq - 1.0) > NORM_TOL:
                 raise NormalizationError(
                     f"squared norm {sq!r} deviates from 1 by more than {NORM_TOL}"
                 )
+            object.__setattr__(self, "_squares", sq)
         arr.flags.writeable = False
         object.__setattr__(self, "amplitudes", arr)
 
@@ -316,11 +303,17 @@ class StateVector:
         ``apply`` computed it while writing the vector.  A sum that overflows
         raises StateFormatError, with no warning."""
         tail = self.amplitudes[1:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            tail_sum = _sum_by_halves(tail.shape[0], lambda lo, hi: np.sum(tail[lo:hi]))
+        tail_sum = _sum_by_halves(tail.shape[0], lambda lo, hi: np.sum(tail[lo:hi]))
         if not math.isfinite(tail_sum):
             raise StateFormatError("sum(a[1:]) overflows a float64")
         return float(self.amplitudes[0]), tail_sum
+
+    @cached_property
+    def _squares(self) -> float:
+        """:func:`_sum_of_squares` of the amplitudes, taken once per vector:
+        by the constructor, or on first read for an output it adopted with a
+        finite pair.  Overflow gives inf."""
+        return _sum_of_squares(self.amplitudes)
 
     @classmethod
     def uniform(cls, n: int) -> StateVector:
@@ -344,8 +337,7 @@ class StateVector:
         that brings max|a_i| into [1/2, 1), exactly, subnormal entries
         included, so the squares neither overflow nor underflow (Blue's
         scaled norm, ACM TOMS 1978)."""
-        a = self.amplitudes
-        sq = _sum_of_squares(a)
+        a, sq = self.amplitudes, self._squares
         if _SQUARES_MIN <= sq < math.inf:
             return a, sq, 0
         big = float(max(a.max(), -a.min()))
@@ -398,7 +390,13 @@ def loads_state_vector(text: str | bytes) -> StateVector:
     try:
         obj = orjson.loads(text)
     except orjson.JSONDecodeError as exc:
-        raise StateFormatError(f"not valid JSON: {exc}") from exc
+        # orjson refuses NaN, Infinity and numbers past the float64 range,
+        # which `json` reads.  Such a document takes the checks below, which
+        # refuse it for its amplitudes or, with one amplitude, its dimension.
+        try:
+            obj = json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+        except ValueError:
+            raise StateFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"n", "amplitudes"}:
         raise StateFormatError('expected an object with exactly "n" and "amplitudes"')
     n, amps = obj["n"], obj["amplitudes"]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .family import (
@@ -20,7 +18,7 @@ from .family import (
 from .grover import corollary_equivalence_check, grover_apply, grover_iterate
 from .optimal import amplify_optimal, theta_sweep
 from .search import SearchProblem, one_step_search
-from .state import StateVector, _sum_of_squares
+from .state import StateVector
 
 # Dense-backed checks (matrix reconstruction, involution products) run at a
 # clamped dimension so `verify` stays fast at any requested n.
@@ -37,10 +35,9 @@ _CASES = 100
 def random_unit_vector(rng: np.random.Generator, n: int) -> StateVector:
     """Normalize a standard-normal sample; the documented generator contract."""
     while True:
-        raw = rng.standard_normal(n)
-        norm = math.sqrt(_sum_of_squares(raw))
-        if norm > 1e-6:
-            return StateVector(n, raw / norm)
+        vec = StateVector.unnormalized(n, rng.standard_normal(n))
+        if vec.norm() > 1e-6:
+            return vec.normalized()
 
 
 def run_verification(seed: int, n: int) -> dict:

@@ -19,6 +19,7 @@ from optamp import (
     c_functional,
     dense_matrix,
     eta_functional,
+    family,
     isometry_residual,
     make_spec,
     make_spec_from_beta0,
@@ -318,14 +319,14 @@ def test_dense_matrix_grover_embedding():
     assert np.max(np.abs(dense_matrix(spec) - GroverOperator(4).matrix())) < 1e-12
 
 
-def test_dense_cap_enforced():
-    with pytest.raises(DenseCapExceeded):
-        dense_matrix(make_spec(8, 0.5, ALL_PLUS), cap=4)
+def test_dense_cap_enforced(monkeypatch):
     with pytest.raises(DenseCapExceeded):
         dense_matrix(make_spec(4097, 0.5, ALL_PLUS))
-    # override allows larger sizes
-    m = dense_matrix(make_spec(8, 0.5, ALL_PLUS), cap=8)
-    assert m.shape == (8, 8)
+    # the cap is read at call time, and n equal to it is accepted
+    monkeypatch.setattr(family, "DENSE_CAP_DEFAULT", 8)
+    assert dense_matrix(make_spec(8, 0.5, ALL_PLUS)).shape == (8, 8)
+    with pytest.raises(DenseCapExceeded):
+        dense_matrix(make_spec(9, 0.5, ALL_PLUS))
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,8 @@ def test_apply_to_an_amplified_vector_matches_two_passes(n):
 
 def test_finite_output_with_overflowing_tail_sum_is_refused_lazily():
     # Every entry of the output is finite, but its tail sum 4 * 5e307 is not:
-    # the output is built and checked by a @ a, and its pair is refused when read.
+    # the output is built and checked by its sum of squares, and its pair is
+    # refused when read.
     vec = StateVector.unnormalized(5, [1e308, 0, 0, 0, 0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

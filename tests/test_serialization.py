@@ -147,6 +147,19 @@ def test_loader_accepts_and_rejects_as_the_per_element_scan(text):
         assert np.array_equal(got.amplitudes, want.amplitudes)
 
 
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize(
+    "number", ("NaN", "-Infinity", "1e400", pytest.param("9" * 400, id="400-nines"))
+)
+def test_numbers_orjson_refuses_are_refused_as_the_per_element_scan(n, number):
+    # orjson reads none of these; one amplitude is a dimension error first.
+    text = f'{{"n": {n}, "amplitudes": [{", ".join([number] * n)}]}}'
+    want = outcome(reference_loads_state_vector, text)[1]
+    assert want is not None
+    for doc in (text, text.encode()):
+        assert outcome(loads_state_vector, doc)[1] is want
+
+
 # Each loader below parses a document of these numbers into a StateVector.
 # Their squared norm is far from 1, so the norm check is switched off.
 @pytest.fixture

@@ -20,6 +20,8 @@ from optamp import (
     make_spec,
     save_state_vector,
 )
+from optamp import state as state_module
+from optamp.state import _PARALLEL_MIN
 
 
 def test_uniform_is_normalized():
@@ -102,6 +104,29 @@ def test_normalized_helper():
     assert abs(vec.amplitudes[0] - 0.6) < 1e-15
     with pytest.raises(NormalizationError):
         StateVector.unnormalized(2, [0.0, 0.0]).normalized()
+
+
+@pytest.mark.parametrize("n", (7, _PARALLEL_MIN + 3))
+def test_one_sum_of_squares_per_vector(monkeypatch, n):
+    calls = []
+    real = state_module._sum_of_squares
+
+    def counted(arr):
+        calls.append(arr.shape[0])
+        return real(arr)
+
+    monkeypatch.setattr(state_module, "_sum_of_squares", counted)
+    raw = np.random.default_rng(n).standard_normal(n)
+    vec = StateVector(n, raw / np.sqrt(real(raw)))
+    assert len(calls) == 1
+    vec.norm()
+    vec.normalized()  # the new vector's own sum only
+    assert len(calls) == 2
+    spec = make_spec(n, 0.7, SignChoice.grover())
+    apply(spec, vec)  # its output comes with a finite pair
+    assert len(calls) == 2
+    isometry_residual(spec, vec)  # the image's sum only
+    assert calls == [n, n, n]
 
 
 # Sums of squares that overflow, underflow to zero, or keep only a few
