@@ -123,9 +123,6 @@ class SignChoice:
             raise ParameterOutOfRange(f"signs must be integers: {text!r}") from exc
         return cls(*values)
 
-    def to_string(self) -> str:
-        return ",".join(f"{s:+d}" for s in (self.eps1, self.eps2, self.eps3, self.eps4, self.eps5))
-
 
 @dataclass(frozen=True)
 class AmplifierSpec:

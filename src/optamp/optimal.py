@@ -84,18 +84,17 @@ def amplify_optimal(
     return out, AmplifyReport.from_arrays(theta_star, a.amplitudes, out.amplitudes)
 
 
-def theta_sweep(
-    a: StateVector, signs: SignChoice | None = None, points: int = 1000
-) -> list[SweepRow]:
+def theta_sweep(a: StateVector, points: int = 1000) -> list[SweepRow]:
     """Post-application magnitude of component 0 over an even grid on [0, 2*pi).
 
     Brute-force companion to :func:`optimal_theta`: the sweep maximum never
     exceeds the optimum beyond roundoff.  Every member maps component 0 to
     s0*(a[0]*cos(theta) + sin(theta)/sqrt(n-1) * S) with s0 = +/-1 and
-    S = sum(a[1:]), so the magnitudes do not depend on ``signs`` and the
-    sweep costs one O(n) reduction plus O(points) scalar work.  They agree
-    with :func:`optamp.family.apply` at each grid angle to roundoff, not
-    bit for bit.
+    S = sum(a[1:]), so the magnitudes are the same for all 32 sign
+    patterns and the sweep takes none.  It costs one O(n) reduction plus
+    O(points) scalar work.  The magnitudes agree with
+    :func:`optamp.family.apply` at each grid angle to roundoff, not bit for
+    bit.
     """
     if points < 2:
         raise ParameterOutOfRange(f"points must be at least 2, got {points}")

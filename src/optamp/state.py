@@ -8,7 +8,7 @@ import os
 import sys
 import threading
 import weakref
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -216,9 +216,18 @@ def _require_dimension(n: int) -> None:
         raise DimensionError(f"dimension must be at least 2, got {n}")
 
 
+def _float64_copy(amplitudes) -> np.ndarray:
+    """A new float64 array of ``amplitudes``; one past the float64 range
+    raises StateFormatError."""
+    try:
+        return np.array(amplitudes, dtype=np.float64)
+    except OverflowError as exc:
+        raise StateFormatError(f"amplitudes must fit in a float64: {exc}") from exc
+
+
 class _Adopted:
-    """A float64 array the library has just built (see `_fresh`) and no one else holds,
-    with its pair ``(a[0], sum(a[1:]))`` when the operator that built it has it."""
+    """A float64 array the library has just built and no one else holds, with
+    its pair ``(a[0], sum(a[1:]))`` when the operator that built it has it."""
 
     __slots__ = ("array", "pair")
 
@@ -229,40 +238,37 @@ class _Adopted:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Vector of real amplitudes, unit norm by default.
+    """Vector of real amplitudes, unit norm unless built by the library.
 
-    The constructor copies its input and enforces sum(a_i^2) == 1 within
-    ``NORM_TOL``.  Use :meth:`unnormalized` for intermediate values (linear
-    combinations, operator outputs) whose norm is established elsewhere.
-    Operator outputs (``apply``, ``amplify_optimal``, the Grover and
-    relabeling maps) adopt the array they have just built instead of copying
-    it; length and finiteness are checked either way.  An output built with
-    its pair ``(a[0], sum(a[1:]))`` (``apply``) proves finiteness by that
-    pair when both members are finite, since a pairwise sum with an inf or
-    NaN term is inf or NaN, and keeps it as ``_reduced``; any other vector
-    is checked by its sum of squares, kept as ``_squares``.  The amplitude
-    array is read-only, so instances can be shared freely across threads.
+    Where the array comes from decides the checks.  The constructor copies
+    a caller's array and holds it to sum(a_i^2) == 1 within ``NORM_TOL``.
+    An array the library has just built (:meth:`_adopt`: operator outputs,
+    :meth:`unnormalized`'s copy) is taken as it is, without a copy and
+    without the unit-norm check, for values whose norm is established
+    elsewhere.  Length and finiteness are checked either way.  An output
+    built with its pair ``(a[0], sum(a[1:]))`` (``apply``) proves
+    finiteness by that pair when both members are finite, since a pairwise
+    sum with an inf or NaN term is inf or NaN, and keeps it as
+    ``_reduced``; any other vector is checked by its sum of squares, kept
+    as ``_squares``.  The amplitude array is read-only, so instances can
+    be shared freely across threads.
     """
 
     n: int
     amplitudes: np.ndarray
-    check_norm: InitVar[bool] = True
 
-    def __post_init__(self, check_norm: bool) -> None:
+    def __post_init__(self) -> None:
         _require_dimension(self.n)
-        pair = None
-        if isinstance(self.amplitudes, _Adopted):
+        adopted = isinstance(self.amplitudes, _Adopted)
+        if adopted:
             arr, pair = self.amplitudes.array, self.amplitudes.pair
         else:
-            try:
-                arr = np.array(self.amplitudes, dtype=np.float64)
-            except OverflowError as exc:
-                raise StateFormatError(f"amplitudes must fit in a float64: {exc}") from exc
+            arr, pair = _float64_copy(self.amplitudes), None
         if arr.ndim != 1 or arr.shape[0] != self.n:
             raise DimensionError(f"expected {self.n} amplitudes, got shape {arr.shape}")
         # A pairwise sum with an inf or NaN term is inf or NaN, so a finite
         # pair proves every entry finite.
-        if not check_norm and pair is not None and all(map(math.isfinite, pair)):
+        if pair is not None and all(map(math.isfinite, pair)):
             object.__setattr__(self, "_reduced", pair)
         else:
             # A finite sum proves every entry finite.  Only a non-finite sum
@@ -271,7 +277,7 @@ class StateVector:
             sq = _sum_of_squares(arr)
             if not math.isfinite(sq) and not np.isfinite(arr).all():
                 raise StateFormatError("amplitudes must all be finite")
-            if check_norm and abs(sq - 1.0) > NORM_TOL:
+            if not adopted and abs(sq - 1.0) > NORM_TOL:
                 raise NormalizationError(
                     f"squared norm {sq!r} deviates from 1 by more than {NORM_TOL}"
                 )
@@ -281,19 +287,21 @@ class StateVector:
 
     @classmethod
     def unnormalized(cls, n: int, amplitudes) -> StateVector:
-        """Construct without the unit-norm check; length and finiteness still apply."""
-        return cls(n, amplitudes, check_norm=False)
+        """Copy ``amplitudes``, then adopt the copy: no unit-norm check;
+        length and finiteness still apply."""
+        _require_dimension(n)
+        return cls._adopt(n, _float64_copy(amplitudes))
 
     @classmethod
     def _adopt(
         cls, n: int, arr: np.ndarray, pair: tuple[float, float] | None = None
     ) -> StateVector:
-        """:meth:`unnormalized` without the copy, for a float64 array the caller
-        has just taken from :func:`_fresh`, filled and drops; the array becomes
-        read-only in place.
+        """The vector of ``arr`` itself, a float64 array the library has just
+        built (from :func:`_fresh`, a random draw, a copy) and no one else
+        holds; it becomes read-only in place.  No unit-norm check.
         ``pair``, if given, must be ``(arr[0], np.sum(arr[1:]))`` bit for bit.
         It goes through the constructor, so the checks stay in one place."""
-        return cls(n, _Adopted(arr, pair), check_norm=False)
+        return cls(n, _Adopted(arr, pair))
 
     @cached_property
     def _reduced(self) -> tuple[float, float]:
@@ -320,15 +328,6 @@ class StateVector:
         """The equal-weight superposition (1, ..., 1)/sqrt(n)."""
         _require_dimension(n)
         return cls(n, np.full(n, 1.0 / math.sqrt(n)))
-
-    @classmethod
-    def basis(cls, n: int, index: int) -> StateVector:
-        """The basis vector with a single unit component at ``index``."""
-        if not 0 <= index < n:
-            raise DimensionError(f"basis index {index} outside [0, {n})")
-        arr = np.zeros(n)
-        arr[index] = 1.0
-        return cls(n, arr)
 
     def _scaled(self) -> tuple[np.ndarray, float, int]:
         """``(b, sum(b_i^2), e)`` with ``a = b * 2**e``.  ``b`` is ``a`` itself

@@ -35,7 +35,7 @@ _CASES = 100
 def random_unit_vector(rng: np.random.Generator, n: int) -> StateVector:
     """Normalize a standard-normal sample; the documented generator contract."""
     while True:
-        vec = StateVector.unnormalized(n, rng.standard_normal(n))
+        vec = StateVector._adopt(n, rng.standard_normal(n))
         if vec.norm() > 1e-6:
             return vec.normalized()
 
@@ -157,7 +157,7 @@ def run_verification(seed: int, n: int) -> dict:
     signs = sign_pool[int(rng.integers(32))]
     worst_sweep_apply = max(
         abs(amp - abs(float(apply(make_spec(n, theta, signs), vec).amplitudes[0])))
-        for theta, amp in theta_sweep(vec, signs, points=64)
+        for theta, amp in theta_sweep(vec, points=64)
     )
     record("sweep_matches_apply", worst_sweep_apply, FAST_PATH_TOL)
 

@@ -17,9 +17,9 @@ library's single type scan must accept and reject the same documents.
 
 The classic step's two factors, `flip_operator_apply` and `diffusion_apply`,
 are `optamp.grover_apply` written as two operators; the one-array step must
-match their composition bit for bit.  `flip_matrix`, `projector`,
-`is_absolute_optimal`, `predicate`, `from_predicate` and `write_trace_csv`
-are helpers only the tests use.
+match their composition bit for bit.  `basis`, `format_signs`,
+`flip_matrix`, `projector`, `is_absolute_optimal`, `predicate`,
+`from_predicate` and `write_trace_csv` are helpers only the tests use.
 """
 
 import json
@@ -29,6 +29,7 @@ import numpy as np
 
 from optamp import (
     AmplifyReport,
+    DimensionError,
     ParameterOutOfRange,
     SearchProblem,
     SignChoice,
@@ -66,6 +67,20 @@ def apply_two_pass(spec, arr: np.ndarray) -> np.ndarray:
     out = eps2 * (arr + (r * a0 + t * tail_sum))
     out[0] = p * a0 + q * tail_sum
     return out
+
+
+def basis(n: int, index: int) -> StateVector:
+    """The basis vector with a single unit component at ``index``."""
+    if not 0 <= index < n:
+        raise DimensionError(f"basis index {index} outside [0, {n})")
+    arr = np.zeros(n)
+    arr[index] = 1.0
+    return StateVector(n, arr)
+
+
+def format_signs(signs: SignChoice) -> str:
+    """The quintuple `SignChoice.from_string` parses, such as '+1,-1,+1,+1,+1'."""
+    return ",".join(f"{s:+d}" for s in (signs.eps1, signs.eps2, signs.eps3, signs.eps4, signs.eps5))
 
 
 def flip_operator_apply(a: StateVector) -> StateVector:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import basis
 
 from optamp import StateVector, load_state_vector, save_state_vector
 from optamp.cli import build_parser, main
@@ -106,7 +107,7 @@ def test_oversized_integer_amplitude_exits_2(tmp_path, capsys):
 
 def test_amplify_sum_zero_input_is_parameter_error(tmp_path, capsys):
     path = tmp_path / "basis.json"
-    save_state_vector(StateVector.basis(4, 0), path)
+    save_state_vector(basis(4, 0), path)
     assert main(["amplify", "--input", str(path)]) == 2
     assert "zero" in capsys.readouterr().err
 
@@ -446,6 +447,14 @@ def test_compare_large_instance_json(tmp_path):
     obj = json.loads(out.read_text(encoding="utf-8"))
     assert abs(obj["one_step_probability"] - 1.0) < 1e-9
     assert obj["grover_peak_step"] == 25
+
+
+def test_compare_step_cap_before_the_first_crest(capsys):
+    assert main(["compare", "--n", "1024", "--marked", "5", "--max-steps", "3"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["grover_peak_step"] == 3
+    assert obj["grover_peak_probability"] == 0.04710825057121504
+    assert obj["grover_first_step_above_half"] is None
 
 
 def test_sweep_output_is_byte_deterministic(tmp_path):

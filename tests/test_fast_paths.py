@@ -57,7 +57,7 @@ def test_sweep_matches_reference(n):
     for vec in vectors(n):
         for points in (2, 7, 64):
             for signs in SignChoice.enumerate():
-                assert_rows_close(theta_sweep(vec, signs, points), reference_theta_sweep(vec, signs, points))
+                assert_rows_close(theta_sweep(vec, points=points), reference_theta_sweep(vec, signs, points))
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import diffusion_apply, flip_matrix, flip_operator_apply, projector, write_trace_csv
+from reference import basis, diffusion_apply, flip_matrix, flip_operator_apply, projector, write_trace_csv
 
 from optamp import (
     GroverOperator,
@@ -32,7 +32,7 @@ def test_flip_negates_component_zero():
 
 
 def test_flip_on_basis_zero():
-    out = flip_operator_apply(StateVector.basis(3, 0))
+    out = flip_operator_apply(basis(3, 0))
     assert np.array_equal(out.amplitudes, np.array([-1.0, 0.0, 0.0]))
 
 

