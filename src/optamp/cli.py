@@ -9,11 +9,10 @@ import sys
 from typing import Optional
 
 from .family import SignChoice, make_spec
-from .family import apply as apply_spec
 from .grover import dumps_trace_csv, grover_iterate
-from .optimal import AmplifyReport, amplify_optimal, dumps_sweep_csv, theta_sweep
+from .optimal import _amplify, amplify_optimal, dumps_sweep_csv, theta_sweep
 from .search import SearchProblem, compare_with_grover, one_step_search
-from .state import StateVector, _dumps_json, _write_text, dumps_state_vector, load_state_vector
+from .state import StateVector, _dumps_json, _write_text, load_state_vector, save_state_vector
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -53,12 +52,10 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
     if args.theta == "auto":
         out, report = amplify_optimal(state, args.signs)
     else:
-        spec = make_spec(state.n, float(args.theta), args.signs)
-        out = apply_spec(spec, state)
-        report = AmplifyReport.from_arrays(spec.theta, state.amplitudes, out.amplitudes)
+        out, report = _amplify(state, make_spec(state.n, float(args.theta), args.signs))
     _emit(report.to_json(), args.output_path)
     if args.output_path is not None:
-        _emit(dumps_state_vector(out), _state_sibling(args.output_path))
+        save_state_vector(out, _state_sibling(args.output_path))
     return EXIT_OK
 
 
@@ -212,7 +209,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, SumZero
-from .family import TWO_PI, SignChoice, _block, apply, make_spec, reduce_angle
+from .family import TWO_PI, AmplifierSpec, SignChoice, _block, apply, make_spec, reduce_angle
 from .state import StateVector, _dumps_json, _join_records
 
 SWEEP_HEADER = "theta,amplitude0,probability0"
@@ -33,18 +33,6 @@ class AmplifyReport:
     post_probability0: float
     absolute: bool
 
-    @classmethod
-    def from_arrays(cls, theta: float, before: np.ndarray, after: np.ndarray) -> AmplifyReport:
-        """The report for the member at ``theta`` mapping ``before`` to ``after``."""
-        post_amplitude = abs(float(after[0]))
-        return cls(
-            theta_star=theta,
-            pre_amplitude0=float(before[0]),
-            post_amplitude0=post_amplitude,
-            post_probability0=post_amplitude**2,
-            absolute=post_amplitude**2 >= 1.0 - ABSOLUTE_TOL,
-        )
-
     def to_json(self) -> str:
         return _dumps_json(asdict(self))
 
@@ -66,6 +54,19 @@ def optimal_theta(a: StateVector) -> float:
     return reduce_angle(math.atan2(tail_sum, a0 * math.sqrt(a.n - 1)))
 
 
+def _amplify(a: StateVector, spec: AmplifierSpec) -> tuple[StateVector, AmplifyReport]:
+    """Apply ``spec`` to ``a`` and report the member's angle and component 0."""
+    out = apply(spec, a)
+    post_amplitude = abs(float(out.amplitudes[0]))
+    return out, AmplifyReport(
+        theta_star=spec.theta,
+        pre_amplitude0=float(a.amplitudes[0]),
+        post_amplitude0=post_amplitude,
+        post_probability0=post_amplitude**2,
+        absolute=post_amplitude**2 >= 1.0 - ABSOLUTE_TOL,
+    )
+
+
 def amplify_optimal(
     a: StateVector, signs: SignChoice | None = None
 ) -> tuple[StateVector, AmplifyReport]:
@@ -79,9 +80,7 @@ def amplify_optimal(
     """
     if signs is None:
         signs = SignChoice.all_plus()
-    theta_star = optimal_theta(a)
-    out = apply(make_spec(a.n, theta_star, signs), a)
-    return out, AmplifyReport.from_arrays(theta_star, a.amplitudes, out.amplitudes)
+    return _amplify(a, make_spec(a.n, optimal_theta(a), signs))
 
 
 def theta_sweep(a: StateVector, points: int = 1000) -> list[SweepRow]:

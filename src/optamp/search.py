@@ -38,14 +38,14 @@ def relabel_apply(p: SearchProblem, a: StateVector) -> StateVector:
 def one_step_search(p: SearchProblem) -> tuple[int, float]:
     """Run the single-application search from the uniform start.
 
-    Conjugates the optimal amplifier for the uniform vector by the
-    relabeling involution and returns (argmax index of squared amplitude,
-    its magnitude).  For a valid problem the index is the marked one and
-    the magnitude is 1 up to roundoff.
+    Amplifies component 0 of the uniform vector optimally, then moves it
+    to the marked slot with the relabeling involution, and returns (argmax
+    index of squared amplitude, its magnitude).  The uniform vector is
+    fixed by the relabeling, so this is the amplifier conjugated by it.
+    For a valid problem the index is the marked one and the magnitude is 1
+    up to roundoff.
     """
-    start = StateVector.uniform(p.n)
-    relabeled = relabel_apply(p, start)
-    amplified, _ = amplify_optimal(relabeled)
+    amplified, _ = amplify_optimal(StateVector.uniform(p.n))
     out = relabel_apply(p, amplified)
     found = int(np.argmax(out.amplitudes**2))
     return found, abs(float(out.amplitudes[found]))

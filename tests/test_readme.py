@@ -21,6 +21,7 @@ NOT_PUBLIC = (
     "from_predicate",
     "basis",
     "to_string",
+    "from_arrays",
 )
 
 
@@ -46,6 +47,7 @@ def test_no_test_oracle_is_listed_as_public():
     assert [name for name in NOT_PUBLIC if name in names] == []
     owners = (
         optamp,
+        optamp.AmplifyReport,
         optamp.GroverOperator,
         optamp.SearchProblem,
         optamp.StateVector,

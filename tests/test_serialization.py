@@ -40,7 +40,8 @@ from optamp.state import _CHUNK, _join_records
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, 1 / 3, 0.1, 1e17]
 
-# Around the writers' 4096-row chunk: one short chunk, exactly one, one plus a row.
+# Short and mid-sized inputs.  The writers cut their text every `_CHUNK` = 2**14
+# values, and the chunk-edge tests below cover those boundaries.
 SIZES = [2, 3, 4095, 4096, 4097, 3 * 4096 + 1]
 
 
