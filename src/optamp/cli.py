@@ -23,13 +23,6 @@ EXIT_USAGE = 2
 _COUNT_CAP = 10**6
 
 
-def _emit(text: str, path: Optional[str]) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(path, text)
-
-
 def _state_sibling(path: str) -> str:
     """Where `amplify` writes the post vector next to its report."""
     stem = path[:-5] if path.endswith(".json") else path
@@ -47,33 +40,32 @@ def _steps(args: argparse.Namespace, n: int) -> int:
     return args.max_steps if args.max_steps is not None else math.ceil(2.0 * math.sqrt(n))
 
 
-def _cmd_amplify(args: argparse.Namespace) -> int:
+def _cmd_amplify(args: argparse.Namespace) -> tuple[str, int]:
     state = _input_state(args)
     if args.theta == "auto":
         out, report = amplify_optimal(state, args.signs)
     else:
         out, report = _amplify(state, make_spec(state.n, float(args.theta), args.signs))
-    _emit(report.to_json(), args.output_path)
+    # The state lands before `main` writes the report, so a failed state
+    # write leaves no report behind.
     if args.output_path is not None:
         save_state_vector(out, _state_sibling(args.output_path))
-    return EXIT_OK
+    return report.to_json(), EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     state = _input_state(args)
     rows = theta_sweep(state, points=args.points)
-    _emit(dumps_sweep_csv(rows), args.output_path)
-    return EXIT_OK
+    return dumps_sweep_csv(rows), EXIT_OK
 
 
-def _cmd_grover(args: argparse.Namespace) -> int:
+def _cmd_grover(args: argparse.Namespace) -> tuple[str, int]:
     state = _input_state(args)
     rows = grover_iterate(state, _steps(args, state.n))
-    _emit(dumps_trace_csv(rows), args.output_path)
-    return EXIT_OK
+    return dumps_trace_csv(rows), EXIT_OK
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> tuple[str, int]:
     problem = SearchProblem(args.n, args.marked)
     found, amplitude = one_step_search(problem)
     obj = {
@@ -83,21 +75,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "amplitude": amplitude,
         "probability": amplitude**2,
     }
-    _emit(_dumps_json(obj), args.output_path)
-    return EXIT_OK
+    return _dumps_json(obj), EXIT_OK
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     problem = SearchProblem(args.n, args.marked)
     report = compare_with_grover(problem, _steps(args, problem.n))
-    _emit(report.to_json(), args.output_path)
-    return EXIT_OK
+    return report.to_json(), EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     summary = run_verification(args.seed, args.n)
-    _emit(_dumps_json(summary), args.output_path)
-    return EXIT_OK if summary["passed"] else EXIT_VERIFY_FAILED
+    return _dumps_json(summary), EXIT_OK if summary["passed"] else EXIT_VERIFY_FAILED
 
 
 def _signs(text: str) -> SignChoice:
@@ -203,9 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and write its artifact, to ``--output`` or stdout:
+    the one place a command's text is written."""
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        text, status = args.run(args)
+        if args.output_path is None:
+            sys.stdout.write(text)
+        else:
+            _write_text(args.output_path, text)
     except (OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
+    return status

@@ -92,4 +92,4 @@ def dumps_trace_csv(rows: list[TraceRow]) -> str:
     # A step count below 2**53 is exact in a float64, and %.17g prints an
     # integer below 10**17 as %d does.
     table = np.array(rows, dtype=np.float64).reshape(-1, 3)
-    return _join_records("\n", table, head=(TRACE_HEADER,)) + "\n"
+    return _join_records("\n", table, TRACE_HEADER + "\n", "\n")

@@ -108,4 +108,4 @@ def dumps_sweep_csv(rows: list[SweepRow]) -> str:
     theta, amp = np.array(rows, dtype=np.float64).reshape(-1, 2).T
     with np.errstate(over="ignore"):  # an amplitude past 1e154 squares to inf, as in Python
         table = np.column_stack([theta, amp, amp * amp])
-    return _join_records("\n", table, head=(SWEEP_HEADER,)) + "\n"
+    return _join_records("\n", table, SWEEP_HEADER + "\n", "\n")

@@ -175,10 +175,11 @@ def _fresh_copy(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _join_records(sep: str, table: np.ndarray, head: tuple[str, ...] = ()) -> str:
-    """The ``head`` lines, then each row of ``table`` as its values joined by
-    ``,``, all joined by ``sep`` (at most three characters); a 1-D ``table``
-    has one value per row.
+def _join_records(sep: str, table: np.ndarray, head: str = "", end: str = "") -> str:
+    """One document in one join: ``head``, then each row of ``table`` as its
+    values joined by ``,``, the rows joined by ``sep`` (at most three
+    characters), then ``end`` after the last row; for an empty ``table``,
+    ``head`` alone.  A 1-D ``table`` has one value per row.
 
     Every value is written as ``'%.17g' % x``, byte for byte, which is
     ``format(x, ".17g")``: 17 significant digits round-trip any double
@@ -190,14 +191,14 @@ def _join_records(sep: str, table: np.ndarray, head: tuple[str, ...] = ()) -> st
     from ._text import format_rows
 
     if len(table) == 0:
-        return sep.join(head)
+        return head
     rows = table.reshape(len(table), -1)
     step = max(1, _CHUNK // rows.shape[1])
     chunks = [
         format_rows(rows[i : i + step], sep).decode("ascii") for i in range(0, len(rows), step)
     ]
     chunks[-1] = chunks[-1][: -len(sep)]
-    return "".join([*(line + sep for line in head), *chunks])
+    return "".join([head, *chunks, end])
 
 
 def _dumps_json(obj) -> str:
@@ -368,8 +369,7 @@ class StateVector:
 def dumps_state_vector(state: StateVector) -> str:
     """Serialize to the shared JSON format, each amplitude as ``'%.17g' % x``
     (17 significant digits, so loading it back gives the same bits)."""
-    body = _join_records(", ", state.amplitudes)
-    return f'{{"n": {state.n}, "amplitudes": [{body}]}}\n'
+    return _join_records(", ", state.amplitudes, f'{{"n": {state.n}, "amplitudes": [', "]}\n")
 
 
 def loads_state_vector(text: str | bytes) -> StateVector:

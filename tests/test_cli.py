@@ -536,3 +536,60 @@ def test_command_entry_freezes_the_imports_then_runs_main():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "0 True\n"
     assert json.loads(proc.stdout)["found_index"] == 2
+
+
+def _raise_memory_error(state, path):
+    raise MemoryError()
+
+
+@pytest.mark.parametrize("failure", ["memory", "directory"])
+def test_failed_state_write_leaves_no_report(tmp_path, capsys, monkeypatch, failure):
+    import optamp.cli as cli_module
+
+    if failure == "memory":
+        monkeypatch.setattr(cli_module, "save_state_vector", _raise_memory_error)
+    else:
+        (tmp_path / "r.state.json").mkdir()
+    report = tmp_path / "r.json"
+    assert main(["amplify", "--n", "8", "--output", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) > len("error: \n")
+    if failure == "memory":
+        assert err == "error: out of memory\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["amplify", "--n", "8"],
+        ["sweep", "--n", "8", "--points", "16"],
+        ["grover", "--n", "8"],
+        ["search", "--n", "8", "--marked", "2"],
+        ["compare", "--n", "8", "--marked", "2"],
+        ["verify", "--seed", "0", "--n", "8"],
+    ],
+)
+def test_stdout_and_output_file_carry_the_same_bytes(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "artifact"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
+def test_failed_verify_prints_the_bytes_it_writes(tmp_path, capsys, monkeypatch):
+    import optamp.cli as cli_module
+
+    monkeypatch.setattr(
+        cli_module,
+        "run_verification",
+        lambda seed, n: {"seed": seed, "n": n, "checks": [], "passed": False},
+    )
+    argv = ["verify", "--seed", "0", "--n", "8"]
+    assert main(argv) == 1
+    printed = capsys.readouterr().out
+    out = tmp_path / "v.json"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert out.read_bytes() == printed.encode("utf-8")
