@@ -201,7 +201,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.write(text)
         else:
             _write_text(args.output_path, text)
-    except (OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError, OverflowError) as exc:
         message = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE

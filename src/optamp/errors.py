@@ -10,7 +10,7 @@ class ParameterOutOfRange(ValueError):
 
 
 class DenseCapExceeded(ValueError):
-    """Dense-matrix construction was requested above the configured size cap."""
+    """Dense-matrix construction was requested above ``DENSE_CAP_DEFAULT``."""
 
 
 class NormalizationError(ValueError):

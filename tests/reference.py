@@ -17,12 +17,15 @@ library's single type scan must accept and reject the same documents.
 
 The classic step's two factors, `flip_operator_apply` and `diffusion_apply`,
 are `optamp.grover_apply` written as two operators; the one-array step must
-match their composition bit for bit.  `basis`, `format_signs`,
-`flip_matrix`, `projector`, `is_absolute_optimal`, `predicate`,
-`from_predicate` and `write_trace_csv` are helpers only the tests use.
+match their composition bit for bit.  `basis`, `random_unit`,
+`format_signs`, `flip_matrix`, `projector`, `is_absolute_optimal`,
+`predicate`, `from_predicate`, `write_trace_csv` and `src_env` are helpers
+only the tests use.
 """
 
 import json
+import os
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -76,6 +79,12 @@ def basis(n: int, index: int) -> StateVector:
     arr = np.zeros(n)
     arr[index] = 1.0
     return StateVector(n, arr)
+
+
+def random_unit(rng, n):
+    """A unit vector in the direction of ``n`` standard normal draws."""
+    raw = rng.standard_normal(n)
+    return StateVector(n, raw / np.linalg.norm(raw))
 
 
 def format_signs(signs: SignChoice) -> str:
@@ -203,3 +212,11 @@ def reference_loads_state_vector(text: str) -> StateVector:
 
 def write_trace_csv(rows, path) -> None:
     _write_text(path, dumps_trace_csv(rows))
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a child process, with this checkout's ``src``
+    first on ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}

@@ -261,6 +261,18 @@ def test_dimension_below_two_exits_2(capsys, command, n):
     assert err == f"error: dimension must be at least 2, got {int(n)}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["amplify"], ["sweep"], ["grover"], ["search", "--marked", "2"], ["compare", "--marked", "2"]],
+)
+def test_dimension_past_the_float_range_exits_2(capsys, argv):
+    # 10**400 is past the largest float, so math.sqrt(n) overflows before
+    # anything is allocated.
+    assert main(argv + ["--n", str(10**400)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: int too large to convert to float\n"
+
+
 # Token pools for the argv property: each value is refused at once or runs in
 # milliseconds.  10**17 and 10**30 amplitudes cannot be allocated at all; a
 # mid-size n such as 10**9 could be, so it is not drawn.  `verify` builds its

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import apply_reference, basis, format_signs
+from reference import apply_reference, basis, format_signs, random_unit
 
 from optamp import (
     ConditionViolated,
@@ -32,11 +32,6 @@ ALL_PLUS = SignChoice.all_plus()
 # theta = pi with eps2 = +1 and eps1*eps4*eps3 = -1 gives the identity operator;
 # theta = pi with all-plus signs gives the flip of component 0.
 IDENTITY_SIGNS = SignChoice(+1, +1, -1, +1, +1)
-
-
-def random_unit(rng, n):
-    raw = rng.standard_normal(n)
-    return StateVector(n, raw / np.linalg.norm(raw))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from reference import basis, diffusion_apply, flip_matrix, flip_operator_apply, projector, write_trace_csv
+from reference import (
+    basis,
+    diffusion_apply,
+    flip_matrix,
+    flip_operator_apply,
+    projector,
+    random_unit,
+    write_trace_csv,
+)
 
 from optamp import (
     GroverOperator,
@@ -15,11 +23,6 @@ from optamp import (
     grover_apply,
     grover_iterate,
 )
-
-
-def random_unit(rng, n):
-    raw = rng.standard_normal(n)
-    return StateVector(n, raw / np.linalg.norm(raw))
 
 
 # ---------------------------------------------------------------------------

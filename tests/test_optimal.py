@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import basis, is_absolute_optimal, reference_theta_sweep
+from reference import basis, is_absolute_optimal, random_unit, reference_theta_sweep
 
 from optamp import (
     ParameterOutOfRange,
@@ -17,11 +17,6 @@ from optamp import (
     optimal_theta,
     theta_sweep,
 )
-
-
-def random_unit(rng, n):
-    raw = rng.standard_normal(n)
-    return StateVector(n, raw / np.linalg.norm(raw))
 
 
 def uniform_tail_vector(n, a0):

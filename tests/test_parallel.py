@@ -8,11 +8,10 @@ import subprocess
 import sys
 import threading
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import apply_two_pass
+from reference import apply_two_pass, src_env
 
 from optamp import (
     SignChoice,
@@ -288,15 +287,12 @@ def on_one_and_every_cpu(probe: str) -> tuple[str, str]:
     on every CPU."""
     if not hasattr(os, "sched_setaffinity") or _cpus() < 2:
         pytest.skip("the process cannot be run on one CPU and on two")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
     one, every = (
         subprocess.run(
             [sys.executable, "-c", probe, side],
             capture_output=True,
             text=True,
-            env=env,
+            env=src_env(),
             check=True,
         ).stdout
         for side in ("one", "every")

@@ -1,9 +1,10 @@
 """Smoke runs of the experiment scripts, so drift in the API they import shows."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from reference import src_env
 
 from optamp.optimal import SWEEP_HEADER
 
@@ -11,14 +12,11 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_script(name, *args):
-    src = str(SCRIPTS.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         check=False,
     )
 

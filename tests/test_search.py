@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import from_predicate, predicate, relabel_matrix
+from reference import from_predicate, predicate, random_unit, relabel_matrix
 
 from optamp import (
     DimensionError,
@@ -17,11 +17,6 @@ from optamp import (
     one_step_search,
     relabel_apply,
 )
-
-
-def random_unit(rng, n):
-    raw = rng.standard_normal(n)
-    return StateVector(n, raw / np.linalg.norm(raw))
 
 
 # ---------------------------------------------------------------------------
