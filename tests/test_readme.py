@@ -22,6 +22,7 @@ NOT_PUBLIC = (
     "basis",
     "to_string",
     "from_arrays",
+    "GroverOperator",
 )
 
 
@@ -48,7 +49,6 @@ def test_no_test_oracle_is_listed_as_public():
     owners = (
         optamp,
         optamp.AmplifyReport,
-        optamp.GroverOperator,
         optamp.SearchProblem,
         optamp.StateVector,
         optamp.SignChoice,
