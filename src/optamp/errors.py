@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DenseCapExceeded",
+    "DimensionError",
+    "NormalizationError",
+    "ParameterOutOfRange",
+    "StateFormatError",
+    "SumZero",
+]
+
 
 class DimensionError(ValueError):
     """Vector or operator dimensions are too small or do not match."""

@@ -19,6 +19,22 @@ reflection with a closed form axis; `reflection_form` extracts it.
 
 from __future__ import annotations
 
+__all__ = [
+    "DENSE_CAP_DEFAULT",
+    "AmplifierSpec",
+    "ConditionViolated",
+    "ReflectionForm",
+    "SignChoice",
+    "apply",
+    "c_functional",
+    "dense_matrix",
+    "eta_functional",
+    "isometry_residual",
+    "make_spec",
+    "make_spec_from_beta0",
+    "reflection_form",
+]
+
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -335,7 +351,7 @@ def reflection_form(spec: AmplifierSpec) -> ReflectionForm | ConditionViolated:
     half = 0.5 * spec.theta
     axis = np.full(spec.n, math.cos(half) / math.sqrt(spec.n - 1))
     axis[0] = -math.sin(half)
-    return ReflectionForm(spec.signs.eps2, StateVector(spec.n, axis))
+    return ReflectionForm(spec.signs.eps2, StateVector._adopt(spec.n, axis))
 
 
 def isometry_residual(spec: AmplifierSpec, a: StateVector) -> float:

@@ -3,6 +3,13 @@ vector), a family member."""
 
 from __future__ import annotations
 
+__all__ = [
+    "corollary_equivalence_check",
+    "dumps_trace_csv",
+    "grover_apply",
+    "grover_iterate",
+]
+
 import math
 
 import numpy as np

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "AmplifyReport",
+    "amplify_optimal",
+    "dumps_sweep_csv",
+    "optimal_theta",
+    "theta_sweep",
+]
+
 import math
 from dataclasses import asdict, dataclass
 
@@ -13,7 +21,7 @@ from .state import StateVector, _dumps_json, _join_records
 
 SWEEP_HEADER = "theta,amplitude0,probability0"
 
-# Post-application probability within this distance of 1 counts as absolute.
+# Component 0 holding all but this share of the input's squared norm counts as absolute.
 ABSOLUTE_TOL = 1e-9
 
 SweepRow = tuple[float, float]
@@ -24,7 +32,9 @@ class AmplifyReport:
     """Outcome of one amplification at the optimal (or a requested) angle.
 
     ``post_amplitude0`` and ``post_probability0`` store magnitudes; the
-    amplified vector itself keeps its signs.
+    amplified vector itself keeps its signs.  ``absolute`` says whether
+    component 0 holds the input's whole norm, within ``ABSOLUTE_TOL``, at
+    any finite scale.
     """
 
     theta_star: float
@@ -64,7 +74,7 @@ def _amplify(a: StateVector, spec: AmplifierSpec) -> tuple[StateVector, AmplifyR
         pre_amplitude0=float(a.amplitudes[0]),
         post_amplitude0=post_amplitude,
         post_probability0=post_probability,
-        absolute=post_probability >= 1.0 - ABSOLUTE_TOL,
+        absolute=post_amplitude >= math.sqrt(1.0 - ABSOLUTE_TOL) * a.norm(),
     )
 
 

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ComparisonReport",
+    "SearchProblem",
+    "compare_with_grover",
+    "one_step_search",
+    "relabel_apply",
+]
+
 from dataclasses import asdict, dataclass
 from typing import Optional
 

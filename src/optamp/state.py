@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "StateVector",
+    "dumps_state_vector",
+    "load_state_vector",
+    "loads_state_vector",
+    "save_state_vector",
+]
+
 import json
 import math
 import os
@@ -244,7 +252,8 @@ class StateVector:
     Where the array comes from decides the checks.  The constructor copies
     a caller's array and holds it to sum(a_i^2) == 1 within ``NORM_TOL``.
     An array the library has just built (:meth:`_adopt`: operator outputs,
-    :meth:`unnormalized`'s copy) is taken as it is, without a copy and
+    :meth:`uniform`, :meth:`normalized`, :meth:`unnormalized`'s copy) is
+    taken as it is, without a copy and
     without the unit-norm check, for values whose norm is established
     elsewhere.  Length and finiteness are checked either way.  An output
     built with its pair ``(a[0], sum(a[1:]))`` (``apply``) proves
@@ -328,7 +337,7 @@ class StateVector:
     def uniform(cls, n: int) -> StateVector:
         """The equal-weight superposition (1, ..., 1)/sqrt(n)."""
         _require_dimension(n)
-        return cls(n, np.full(n, 1.0 / math.sqrt(n)))
+        return cls._adopt(n, np.full(n, 1.0 / math.sqrt(n)))
 
     def _scaled(self) -> tuple[np.ndarray, float, int]:
         """``(b, sum(b_i^2), e)`` with ``a = b * 2**e``.  ``b`` is ``a`` itself
@@ -349,16 +358,20 @@ class StateVector:
 
     def norm(self) -> float:
         """sqrt(sum(a_i^2)) for any finite entries: the root of
-        :func:`_sum_of_squares`, rescaled by :meth:`_scaled` out of range."""
+        :func:`_sum_of_squares`, rescaled by :meth:`_scaled` out of range;
+        inf past the float64 range, as a sum of squares gives."""
         _, sq, e = self._scaled()
-        return math.ldexp(math.sqrt(sq), e)
+        try:
+            return math.ldexp(math.sqrt(sq), e)
+        except OverflowError:  # math.ldexp raises where float arithmetic gives inf
+            return math.inf
 
     def normalized(self) -> StateVector:
         """Rescale to exact unit norm; any nonzero finite vector has one."""
         b, sq, _ = self._scaled()
         if sq == 0.0:
             raise NormalizationError("cannot normalize the zero vector")
-        return StateVector(self.n, b / math.sqrt(sq))
+        return StateVector._adopt(self.n, b / math.sqrt(sq))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{x:.6g}" for x in self.amplitudes[:4])

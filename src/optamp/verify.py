@@ -82,15 +82,14 @@ def run_verification(seed: int, n: int) -> dict:
             dense_n, float(rng.uniform(0.0, TWO_PI)), sign_pool[int(rng.integers(32))]
         )
         vec = random_unit_vector(rng, dense_n)
+        image = apply(spec, vec).amplitudes
         dense_out = dense_matrix(spec) @ vec.amplitudes
-        worst_dense = max(
-            worst_dense, float(np.max(np.abs(dense_out - apply(spec, vec).amplitudes)))
-        )
+        worst_dense = max(worst_dense, float(np.max(np.abs(dense_out - image))))
         other = random_unit_vector(rng, dense_n)
         alpha, beta = (float(x) for x in rng.uniform(-2.0, 2.0, size=2))
         mix = StateVector.unnormalized(dense_n, alpha * vec.amplitudes + beta * other.amplitudes)
         combined = apply(spec, mix).amplitudes
-        split = alpha * apply(spec, vec).amplitudes + beta * apply(spec, other).amplitudes
+        split = alpha * image + beta * apply(spec, other).amplitudes
         worst_linear = max(worst_linear, float(np.max(np.abs(combined - split))))
     record("dense_matches_apply", worst_dense, 1e-12)
     record("linearity", worst_linear, 1e-12)

@@ -20,7 +20,8 @@ are `optamp.grover_apply` written as two operators; the one-array step must
 match their composition bit for bit.  `GroverOperator` writes the same step
 as dense matrices, the diffusion `D` and the iteration `D @ Z`; the
 library's in-place step applied to the identity must equal `matrix()` value
-for value.  `basis`, `random_unit`, `format_signs`, `flip_matrix`,
+for value.  `random_unit` is the test suite's one seeded unit-vector
+generator.  `PUBLIC_MODULES`, `basis`, `format_signs`, `flip_matrix`,
 `projector`, `is_absolute_optimal`, `predicate`, `from_predicate`,
 `write_trace_csv` and `src_env` are helpers only the tests use.
 """
@@ -33,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+import optamp
 from optamp import (
     AmplifyReport,
     DimensionError,
@@ -49,6 +51,17 @@ from optamp.family import TWO_PI
 from optamp.grover import TRACE_HEADER
 from optamp.optimal import SWEEP_HEADER
 from optamp.state import _fresh, _fresh_copy, _require_dimension, _write_text
+
+# The modules that declare public names, in the order `optamp.__all__`
+# concatenates their `__all__` lists.
+PUBLIC_MODULES = (
+    optamp.errors,
+    optamp.family,
+    optamp.grover,
+    optamp.optimal,
+    optamp.search,
+    optamp.state,
+)
 
 
 def apply_reference(spec, arr: np.ndarray) -> np.ndarray:
@@ -143,7 +156,7 @@ def projector(n: int) -> np.ndarray:
 
 
 def is_absolute_optimal(report: AmplifyReport) -> bool:
-    """True when the post-application probability of component 0 is 1 within tolerance."""
+    """True when component 0 ends up holding the input's whole norm, within tolerance."""
     return report.absolute
 
 

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from reference import GroverOperator
+from reference import GroverOperator, random_unit
 
 from optamp import (
     ConditionViolated,
@@ -33,14 +33,6 @@ def _report(num, label, passed, detail):
     assert passed, line
 
 
-def _random_unit(rng, n):
-    while True:
-        raw = rng.standard_normal(n)
-        norm = float(np.linalg.norm(raw))
-        if norm > 1e-6:
-            return StateVector(n, raw / norm)
-
-
 def test_criterion_1_unitarity_suite():
     rng = np.random.default_rng(101)
     pool = SignChoice.enumerate()
@@ -49,7 +41,7 @@ def test_criterion_1_unitarity_suite():
         n = int(rng.integers(2, 257))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         spec = make_spec(n, theta, pool[i % 32])
-        worst = max(worst, isometry_residual(spec, _random_unit(rng, n)))
+        worst = max(worst, isometry_residual(spec, random_unit(rng, n)))
     _report(1, "unitarity", worst <= 1e-10, f"max residual {worst:.3e} over 1000 cases")
 
 
@@ -106,7 +98,7 @@ def test_criterion_5_generic_optimal_closed_forms():
     worst_exceed = -math.inf
     for n in (3, 8, 64):
         for _ in range(200):
-            vec = _random_unit(rng, n)
+            vec = random_unit(rng, n)
             tail_sum = float(np.sum(vec.amplitudes[1:]))
             if tail_sum == 0.0:
                 continue
@@ -177,7 +169,7 @@ def test_criterion_8_stationarity_gradient():
     count = 0
     while count < 100:
         n = int(rng.integers(3, 65))
-        vec = _random_unit(rng, n)
+        vec = random_unit(rng, n)
         if float(np.sum(vec.amplitudes[1:])) == 0.0:
             continue
         count += 1

@@ -10,6 +10,7 @@ from reference import (
     apply_two_pass,
     diffusion_apply,
     flip_operator_apply,
+    random_unit,
     reference_grover_iterate,
     reference_theta_sweep,
 )
@@ -40,8 +41,7 @@ PEAK_ALLOC_FACTOR = 1.25
 
 
 def vectors(n):
-    raw = np.random.default_rng(n).standard_normal(n)
-    return [StateVector(n, raw / np.linalg.norm(raw)), StateVector.uniform(n)]
+    return [random_unit(np.random.default_rng(n), n), StateVector.uniform(n)]
 
 
 def assert_rows_close(fast, slow):

@@ -157,6 +157,23 @@ def test_amplify_report_probability_past_the_float_range_is_inf():
     assert report.post_probability0 == math.inf
 
 
+@pytest.mark.parametrize(
+    "amplitudes, absolute",
+    [
+        ([2.0, 1.0, 0.0], False),  # component 0 ends with 4.5 of a squared norm of 5
+        ([2.0, 1.0, 1.0], True),
+        ([1e200] * 3, True),
+        ([1e-170] * 3, True),
+        ([1e-170, 3e-170, 2e-170], False),
+        ([1.0] * 5, True),
+        ([1.0, 1.5e308, -1.5e308, 1.0], False),  # a norm past the float range
+    ],
+)
+def test_amplify_absolute_compares_with_the_input_norm(amplitudes, absolute):
+    _, report = amplify_optimal(StateVector.unnormalized(len(amplitudes), amplitudes))
+    assert report.absolute is absolute
+
+
 def test_amplify_respects_sign_choice():
     vec = StateVector(3, [0.6, 0.8, 0.0])
     flipped, _ = amplify_optimal(vec, SignChoice(+1, -1, +1, +1, +1))

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from reference import apply_two_pass, src_env
+from reference import apply_two_pass, random_unit, src_env
 
 from optamp import (
     SignChoice,
@@ -35,11 +35,6 @@ CLASSES = [SignChoice(e1, e2, 1, 1, 1) for e1 in (1, -1) for e2 in (1, -1)]
 EDGE_SIZES = (_PARALLEL_MIN - 1, _PARALLEL_MIN, _PARALLEL_MIN + 1, _PARALLEL_MIN + 7, 2097169)
 
 JOIN_TIMEOUT_S = 60
-
-
-def random_vector(n: int) -> StateVector:
-    raw = np.random.default_rng(n).standard_normal(n)
-    return StateVector(n, raw / np.linalg.norm(raw))
 
 
 def test_split_rule():
@@ -78,7 +73,7 @@ def test_worker_exception_reaches_the_caller():
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
 def test_split_passes_are_bit_identical(n):
-    vec = random_vector(n)
+    vec = random_unit(np.random.default_rng(n), n)
     assert vec._reduced[1] == float(np.sum(vec.amplitudes[1:]))
     for signs in CLASSES:
         spec = make_spec(n, 0.7, signs)
@@ -150,7 +145,7 @@ def test_overflowing_output_is_refused_without_warnings(n):
 
 def test_concurrent_callers_get_identical_bytes():
     n = _PARALLEL_MIN + 3
-    vec = random_vector(n)
+    vec = random_unit(np.random.default_rng(n), n)
     spec = make_spec(n, 0.7, SignChoice.grover())
     want = apply_two_pass(spec, vec.amplitudes).tobytes()
     results = []
@@ -183,12 +178,14 @@ def _apply_in_child(spec, vec, want, queue):
 @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
 def test_forked_child_finishes_after_a_split_pass():
     n = _PARALLEL_MIN + 3
-    vec = random_vector(n)
+    vec = random_unit(np.random.default_rng(n), n)
     spec = make_spec(n, 0.7, SignChoice.grover())
     want = apply(spec, vec).amplitudes.tobytes()
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
-    child = ctx.Process(target=_apply_in_child, args=(spec, random_vector(n), want, queue))
+    child = ctx.Process(
+        target=_apply_in_child, args=(spec, random_unit(np.random.default_rng(n), n), want, queue)
+    )
     child.start()
     try:
         same = queue.get(timeout=JOIN_TIMEOUT_S)
@@ -217,7 +214,7 @@ def test_tree_sum_is_np_sum(m):
 
 @pytest.mark.parametrize("n", (2, 3, 64, *EDGE_SIZES))
 def test_apply_output_carries_its_reduced_pair(n):
-    vec = random_vector(n)
+    vec = random_unit(np.random.default_rng(n), n)
     for signs in CLASSES:
         out = apply(make_spec(n, 0.7, signs), vec)
         assert "_reduced" in out.__dict__
@@ -228,7 +225,7 @@ def test_apply_output_carries_its_reduced_pair(n):
 @pytest.mark.parametrize("n", (64, _PARALLEL_MIN + 3))
 def test_apply_to_an_amplified_vector_matches_two_passes(n):
     # The amplified vector's pair comes from apply, not from a sum of it.
-    amplified = amplify_optimal(random_vector(n))[0]
+    amplified = amplify_optimal(random_unit(np.random.default_rng(n), n))[0]
     member = make_spec(n, 1.1, SignChoice.grover())
     fresh = StateVector.unnormalized(n, amplified.amplitudes.copy())
     want = apply_two_pass(member, fresh.amplitudes).tobytes()

@@ -161,6 +161,12 @@ def test_norm_and_normalized_out_of_range(amps):
     assert unit.amplitudes[1] / unit.amplitudes[0] == pytest.approx(amps[1] / amps[0], rel=1e-15)
 
 
+def test_norm_past_the_float_range_is_inf():
+    # Each entry and the tail sum are finite; only the norm, sqrt(4.5) * 1e308, is not.
+    vec = StateVector.unnormalized(4, [1.0, 1.5e308, -1.5e308, 1.0])
+    assert vec.norm() == math.inf
+
+
 def test_amplitudes_are_read_only():
     vec = StateVector.uniform(4)
     with pytest.raises(ValueError):
