@@ -53,17 +53,17 @@ def _split(m: int) -> int:
 
 def _sum_by_halves(m: int, fn) -> float:
     """``np.sum`` of a run of ``m`` elements, from ``fn(lo, hi)``, the
-    ``np.sum`` of its part ``[lo, hi)``.  That is ``fn(0, m)``, or, when
-    ``m >= _PARALLEL_MIN`` and the process may run on two CPUs, ``fn(0, h)``
-    here and ``fn(h, m)`` on a worker thread, added as numpy's pairwise sum
-    adds them: ``h = _split(m)``, so the result is the same bit for bit.
+    ``np.sum`` of its part ``[lo, hi)``.  That is ``fn(0, m)``, or, from
+    ``_PARALLEL_MIN`` elements up on any host, ``fn(0, h)`` here and
+    ``fn(h, m)`` on a worker thread, added as numpy's pairwise sum adds
+    them: ``h = _split(m)``, so the result is the same bit for bit.
     Overflow gives inf and opposite infinities NaN, with no warning, on
     both halves; the worker otherwise runs under the caller's numpy error
-    state, which does not reach a new thread by itself, and its exception
-    is raised here.
+    state, which does not reach a new thread by itself.  An exception from
+    either half is raised here once the worker has been joined.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if m < _PARALLEL_MIN or _cpus() < 2:
+        if m < _PARALLEL_MIN:
             return float(fn(0, m))
         h = _split(m)
         err = np.geterr()
@@ -72,9 +72,9 @@ def _sum_by_halves(m: int, fn) -> float:
         def second_half() -> None:
             with np.errstate(**err):
                 try:
-                    box.append((True, fn(h, m)))
+                    box.append(fn(h, m))
                 except BaseException as exc:  # raised again on the calling thread
-                    box.append((False, exc))
+                    box.append(exc)
 
         worker = threading.Thread(target=second_half)
         worker.start()
@@ -82,8 +82,8 @@ def _sum_by_halves(m: int, fn) -> float:
             first = fn(0, h)
         finally:
             worker.join()
-        ok, second = box[0]
-        if not ok:
+        second = box[0]
+        if isinstance(second, BaseException):
             raise second
         return float(np.sum((first, second)))
 
@@ -116,13 +116,6 @@ def _sum_of_squares(arr: np.ndarray) -> float:
         return np.sum(np.square(arr[lo:hi]))
 
     return _sum_by_halves(arr.shape[0], lambda lo, hi: _tree(lo, hi, leaf))
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _refs(ring: list, i: int) -> int:
@@ -391,14 +384,19 @@ def loads_state_vector(text: str | bytes) -> StateVector:
     # Loaded on first use: a process that reads no state file never loads it.
     import orjson
 
-    # A state document is one object around one flat list, so a second "["
-    # or "{" marks an invalid one, or one that repeats a key.  orjson 3.8
-    # crashes the process on a deep closed nest such as
-    # "[" * 10**6 + "]" * 10**6, so no nest reaches it.  `find` runs at
-    # memchr speed, where `count` would take milliseconds.
-    for bracket in ("[", "{") if isinstance(text, str) else (b"[", b"{"):
-        if text.find(bracket, text.find(bracket) + 1) >= 0:
-            raise StateFormatError("expected one object around one flat list of amplitudes")
+    # A state document is one object around one flat list, keyed "n" and
+    # "amplitudes", so a second "[" or "{", or a fifth '"', marks an invalid
+    # one, such as one that repeats a key.  orjson 3.8 crashes the process on
+    # a deep closed nest such as "[" * 10**6 + "]" * 10**6, so no nest reaches
+    # it.  `find` runs at memchr speed, where `count` would take milliseconds.
+    for mark, most in (("[", 1), ("{", 1), ('"', 4)):
+        at = -1
+        for _ in range(most + 1):
+            at = text.find(mark if isinstance(text, str) else mark.encode(), at + 1)
+            if at < 0:
+                break
+        else:
+            raise StateFormatError('expected one flat list under the keys "n" and "amplitudes"')
     try:
         obj = orjson.loads(text)
     except orjson.JSONDecodeError as exc:

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import basis
 
-from optamp import StateVector, load_state_vector, save_state_vector
+from optamp import (
+    StateFormatError,
+    StateVector,
+    load_state_vector,
+    loads_state_vector,
+    save_state_vector,
+)
 from optamp.cli import build_parser, main
 
 
@@ -171,6 +177,25 @@ def test_deeply_nested_input_file_exits_2(tmp_path, capsys):
     assert main(["amplify", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"n": 3, "amplitudes": [0.6, 0.8], "n": 2}',
+        '{"n": 2, "amplitudes": [0.6, 0.8], "n": 2}',
+    ],
+    ids=["different-n", "same-n"],
+)
+def test_repeated_n_key_exits_2(tmp_path, capsys, body):
+    # json.loads and orjson both keep the last "n", which matches the list.
+    bad = tmp_path / "bad.json"
+    bad.write_text(body, encoding="utf-8")
+    assert main(["amplify", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(StateFormatError):
+        loads_state_vector(body)
 
 
 def run_module(*argv):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from optamp import (
     optimal_theta,
     theta_sweep,
 )
-from optamp.state import _LEAF, _PARALLEL_MIN, _cpus, _sum_by_halves, _sum_of_squares, _tree
+from optamp.state import _LEAF, _PARALLEL_MIN, _sum_by_halves, _sum_of_squares, _tree
 
 # One sign pattern for each of the four (s0, eps2) operator classes.
 CLASSES = [SignChoice(e1, e2, 1, 1, 1) for e1 in (1, -1) for e2 in (1, -1)]
@@ -50,9 +51,6 @@ def test_split_rule():
     calls.clear()
     m = _PARALLEL_MIN + 21
     assert _sum_by_halves(m, record) == m
-    if _cpus() < 2:
-        assert calls == [(0, m, here)]
-        return
     h = m // 2 - (m // 2) % 8
     first, second = sorted(calls)
     assert first == (0, h, here)
@@ -65,10 +63,23 @@ def test_worker_exception_reaches_the_caller():
             raise ZeroDivisionError(lo)
         return hi
 
-    if _cpus() < 2:
-        pytest.skip("the process may run on one CPU only, so nothing splits")
     with pytest.raises(ZeroDivisionError):
         _sum_by_halves(_PARALLEL_MIN, fail_in_second_half)
+
+
+def test_first_half_exception_leaves_after_the_worker():
+    # The worker is still busy when the first half raises; joining it first
+    # leaves no thread behind.
+    def fail_in_first_half(lo, hi):
+        if lo == 0:
+            raise ZeroDivisionError(hi)
+        time.sleep(0.2)
+        return hi
+
+    before = set(threading.enumerate())
+    with pytest.raises(ZeroDivisionError):
+        _sum_by_halves(_PARALLEL_MIN, fail_in_first_half)
+    assert set(threading.enumerate()) <= before
 
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
@@ -279,11 +290,11 @@ for signs in SignChoice.enumerate()[:4]:
 """
 
 
-def on_one_and_every_cpu(probe: str) -> tuple[str, str]:
+def pinned_and_unpinned(probe: str) -> tuple[str, str]:
     """The stdout of ``probe`` run in a child pinned to one CPU, and in one
-    on every CPU."""
-    if not hasattr(os, "sched_setaffinity") or _cpus() < 2:
-        pytest.skip("the process cannot be run on one CPU and on two")
+    on every CPU this process may use."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("the process cannot be pinned to one CPU")
     one, every = (
         subprocess.run(
             [sys.executable, "-c", probe, side],
@@ -295,6 +306,43 @@ def on_one_and_every_cpu(probe: str) -> tuple[str, str]:
         for side in ("one", "every")
     )
     return one, every
+
+
+def on_one_and_every_cpu(probe: str) -> tuple[str, str]:
+    """:func:`pinned_and_unpinned`, where the process may run on two CPUs."""
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the process may run on one CPU only")
+    return pinned_and_unpinned(probe)
+
+
+# Prints the CPUs the child may run on, the threads a split pass ran on, and
+# a digest of an `apply` output at a two-thread size, pinned to one CPU when
+# argv[1] is "one".
+_SPLIT_PROBE = """
+import hashlib, os, sys, threading
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from optamp import SignChoice, apply, make_spec
+from optamp.state import _PARALLEL_MIN, _sum_by_halves
+from optamp.verify import random_unit_vector
+idents = set()
+def record(lo, hi):
+    idents.add(threading.get_ident())
+    return hi - lo
+_sum_by_halves(_PARALLEL_MIN + 21, record)
+n = _PARALLEL_MIN + 3
+vec = random_unit_vector(np.random.default_rng(n), n)
+out = apply(make_spec(n, 0.7, SignChoice.grover()), vec).amplitudes
+print(len(os.sched_getaffinity(0)), len(idents), hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_one_cpu_splits_as_every_cpu_does():
+    one, every = pinned_and_unpinned(_SPLIT_PROBE)
+    cpus, threads, digest = one.split()
+    assert (cpus, threads) == ("1", "2")
+    assert digest == every.split()[2]
 
 
 def test_verify_bytes_do_not_depend_on_the_cpu_count():
