@@ -25,7 +25,7 @@ def main() -> None:
 
     theta_star = optimal_theta(vec)
     _, report = amplify_optimal(vec)
-    sweep_best = max(rows, key=lambda row: row[1])
+    sweep_best = rows[np.argmax(rows[:, 1])]
     print(f"wrote {args.output} ({args.points} points)")
     print(f"optimal theta = {theta_star:.12f}  amplitude = {report.post_amplitude0:.12f}")
     print(f"sweep best    = {sweep_best[0]:.12f}  amplitude = {sweep_best[1]:.12f}")

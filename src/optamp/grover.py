@@ -20,8 +20,6 @@ from .state import StateVector, _fresh_copy, _join_records
 
 TRACE_HEADER = "step,amplitude0,probability0"
 
-TraceRow = tuple[int, float, float]
-
 
 def _classic_step(arr: np.ndarray) -> np.ndarray:
     """The classic step D @ Z on every column of ``arr``, in place: flip row 0,
@@ -46,8 +44,9 @@ def _grover_member(n: int) -> AmplifierSpec:
     return _spec_from_pair(n, (n - 2) / n, 2.0 * math.sqrt(n - 1) / n, SignChoice.grover())
 
 
-def grover_iterate(a: StateVector, steps: int) -> list[TraceRow]:
-    """Iterate the search operator, recording (step, |a[0]|, a[0]**2) from step 0.
+def grover_iterate(a: StateVector, steps: int) -> np.ndarray:
+    """Iterate the search operator: a ``(steps + 1, 3)`` float64 table of rows
+    ``[step, |a[0]|, a[0]**2]`` from step 0.
 
     D @ Z is the family's Grover member, so component 0 follows the reduced
     pair (a[0], sum(a[1:])) under that member's 2x2 map: one O(n) reduction
@@ -58,13 +57,13 @@ def grover_iterate(a: StateVector, steps: int) -> list[TraceRow]:
         raise ParameterOutOfRange(f"steps must be nonnegative, got {steps}")
     p, q, u, v = _pair_block(_grover_member(a.n))
     x, tail_sum = a._reduced
-    amp = abs(x)
-    rows: list[TraceRow] = [(0, amp, amp * amp)]
-    for step in range(1, steps + 1):
+    column = [x]
+    for _ in range(steps):
         x, tail_sum = p * x + q * tail_sum, u * x + v * tail_sum
-        amp = abs(x)
-        rows.append((step, amp, amp * amp))
-    return rows
+        column.append(x)
+    amp = np.abs(column)
+    with np.errstate(over="ignore"):  # an amplitude past 1e154 squares to inf, as in Python
+        return np.column_stack([np.arange(steps + 1, dtype=np.float64), amp, amp * amp])
 
 
 def corollary_equivalence_check(n: int) -> float:
@@ -76,8 +75,10 @@ def corollary_equivalence_check(n: int) -> float:
     return float(np.max(np.abs(gap, out=gap)))
 
 
-def dumps_trace_csv(rows: list[TraceRow]) -> str:
+def dumps_trace_csv(rows: np.ndarray) -> str:
+    """The CSV of a :func:`grover_iterate` table, or of any ``[step, amplitude0,
+    probability0]`` rows."""
     # A step count below 2**53 is exact in a float64, and %.17g prints an
     # integer below 10**17 as %d does.
-    table = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    table = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
     return _join_records("\n", table, TRACE_HEADER + "\n", "\n")

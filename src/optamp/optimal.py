@@ -24,8 +24,6 @@ SWEEP_HEADER = "theta,amplitude0,probability0"
 # Component 0 holding all but this share of the input's squared norm counts as absolute.
 ABSOLUTE_TOL = 1e-9
 
-SweepRow = tuple[float, float]
-
 
 @dataclass(frozen=True)
 class AmplifyReport:
@@ -94,8 +92,9 @@ def amplify_optimal(
     return _amplify(a, make_spec(a.n, optimal_theta(a), signs))
 
 
-def theta_sweep(a: StateVector, points: int = 1000) -> list[SweepRow]:
-    """Post-application magnitude of component 0 over an even grid on [0, 2*pi).
+def theta_sweep(a: StateVector, points: int = 1000) -> np.ndarray:
+    """Post-application magnitude of component 0 over an even grid on [0, 2*pi),
+    as a ``(points, 2)`` float64 table of rows ``[theta, amplitude0]``.
 
     Brute-force companion to :func:`optimal_theta`: the sweep maximum never
     exceeds the optimum beyond roundoff.  Every member maps component 0 to
@@ -111,12 +110,12 @@ def theta_sweep(a: StateVector, points: int = 1000) -> list[SweepRow]:
     a0, tail_sum = a._reduced
     theta = TWO_PI * np.arange(points) / points
     p, q, _, _ = _block(a.n, np.cos(theta), np.sin(theta), 1)
-    amp = np.abs(p * a0 + q * tail_sum)
-    return list(zip(theta.tolist(), amp.tolist()))
+    return np.column_stack([theta, np.abs(p * a0 + q * tail_sum)])
 
 
-def dumps_sweep_csv(rows: list[SweepRow]) -> str:
-    theta, amp = np.array(rows, dtype=np.float64).reshape(-1, 2).T
+def dumps_sweep_csv(rows: np.ndarray) -> str:
+    """The CSV of a :func:`theta_sweep` table, or of any ``[theta, amplitude0]`` rows."""
+    theta, amp = np.asarray(rows, dtype=np.float64).reshape(-1, 2).T
     with np.errstate(over="ignore"):  # an amplitude past 1e154 squares to inf, as in Python
         table = np.column_stack([theta, amp, amp * amp])
     return _join_records("\n", table, SWEEP_HEADER + "\n", "\n")

@@ -81,13 +81,6 @@ class ComparisonReport:
         return _dumps_json(asdict(self))
 
 
-def _first_local_max(probs: list[float]) -> int:
-    for step in range(len(probs) - 1):
-        if probs[step + 1] <= probs[step]:
-            return step
-    return len(probs) - 1
-
-
 def compare_with_grover(p: SearchProblem, max_steps: int) -> ComparisonReport:
     """Contrast the one-application search with up to ``max_steps`` classic iterations.
 
@@ -96,15 +89,14 @@ def compare_with_grover(p: SearchProblem, max_steps: int) -> ComparisonReport:
     if max_steps < 1:
         raise ParameterOutOfRange(f"max_steps must be at least 1, got {max_steps}")
     _, amplitude = one_step_search(p)
-    trace = grover_iterate(StateVector.uniform(p.n), max_steps)
-    probs = [row[2] for row in trace]
-    peak = _first_local_max(probs)
-    first_above = next((step for step, prob in enumerate(probs) if prob > 0.5), None)
+    probs = grover_iterate(StateVector.uniform(p.n), max_steps)[:, 2]
+    falls, above = probs[1:] <= probs[:-1], probs > 0.5
+    peak = int(np.argmax(falls)) if falls.any() else max_steps
     return ComparisonReport(
         n=p.n,
         marked=p.marked,
         one_step_probability=amplitude * amplitude,
         grover_peak_step=peak,
-        grover_peak_probability=probs[peak],
-        grover_first_step_above_half=first_above,
+        grover_peak_probability=float(probs[peak]),
+        grover_first_step_above_half=int(np.argmax(above)) if above.any() else None,
     )

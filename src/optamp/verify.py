@@ -124,7 +124,7 @@ def run_verification(seed: int, n: int) -> dict:
             continue
         probes += 1
         _, report = amplify_optimal(vec)
-        sweep_max = max(amp for _, amp in theta_sweep(vec, points=200))
+        sweep_max = float(np.max(theta_sweep(vec, points=200)[:, 1]))
         worst_sweep = max(worst_sweep, sweep_max - report.post_amplitude0)
         theta_star = report.theta_star
         h = 1e-6
@@ -145,18 +145,14 @@ def run_verification(seed: int, n: int) -> dict:
     for _ in range(32):
         current = grover_apply(current)
         iterated.append(abs(float(current.amplitudes[0])))
-    traced = [amp for _, amp, _ in grover_iterate(vec, 32)]
-    record(
-        "grover_trace_matches_iteration",
-        max(abs(fast - slow) for fast, slow in zip(traced, iterated)),
-        FAST_PATH_TOL,
-    )
+    traced = grover_iterate(vec, 32)[:, 1]
+    record("grover_trace_matches_iteration", np.max(np.abs(traced - iterated)), FAST_PATH_TOL)
 
     vec = random_unit_vector(rng, n)
     signs = sign_pool[int(rng.integers(32))]
     worst_sweep_apply = max(
         abs(amp - abs(float(apply(make_spec(n, theta, signs), vec).amplitudes[0])))
-        for theta, amp in theta_sweep(vec, points=64)
+        for theta, amp in theta_sweep(vec, points=64).tolist()
     )
     record("sweep_matches_apply", worst_sweep_apply, FAST_PATH_TOL)
 

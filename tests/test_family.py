@@ -1,6 +1,7 @@
 """Operator family: spec construction, functionals, apply, dense form, reflections."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,6 +126,27 @@ def test_derived_coefficients_are_idempotent():
         spec.eta0,
         spec.eta_i,
     )
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 17, 50, 65537, 1000001])
+def test_block_coefficients_within_one_ulp_of_exact_rationals(n):
+    # Pythagorean pairs ((m^2 - k^2)/(m^2 + k^2), 2mk/(m^2 + k^2)) in every
+    # quadrant; with n - 1 = j^2, p, q, r and t of the rounded pair are
+    # rationals, and each is two roundings at most from its exact value.
+    j = math.isqrt(n - 1)
+    assert j * j == n - 1
+    for m in range(-7, 8):
+        for k in range(-7, 8):
+            if m == k == 0:
+                continue
+            cos = (m * m - k * k) / (m * m + k * k)
+            sin = 2 * m * k / (m * m + k * k)
+            c, s = Fraction(cos), Fraction(sin)
+            for s0 in (1, -1):
+                got = family._block(n, cos, sin, s0)
+                exact = (s0 * c, s0 * s / j, s / j, -(1 + c) / (n - 1))
+                for value, want in zip(got, exact):
+                    assert abs(Fraction(value) - want) <= Fraction(math.ulp(value)), (m, k, s0)
 
 
 def test_make_spec_from_beta0_roundtrip():

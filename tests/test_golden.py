@@ -97,7 +97,8 @@ def write_input(directory: Path) -> Path:
 def run_case(name: str, input_path: Path, directory: Path) -> dict:
     """Run one case and return its exit code and artifact digests."""
     report = directory / f"{name}.json"
-    argv = [str(input_path) if arg == IN else str(report) if arg == OUT else arg for arg in CASES[name][1]]
+    places = {IN: str(input_path), OUT: str(report)}
+    argv = [places.get(arg, arg) for arg in CASES[name][1]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -144,7 +145,6 @@ if __name__ == "__main__":
         directory = Path(tmp)
         path = write_input(directory)
         cases = {name: run_case(name, path, directory) for name in sorted(CASES)}
-    GOLDEN.write_text(
-        json.dumps({"fingerprint": fingerprint(), "cases": cases}, indent=1) + "\n", encoding="utf-8"
-    )
+    document = {"fingerprint": fingerprint(), "cases": cases}
+    GOLDEN.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {GOLDEN}")

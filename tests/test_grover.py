@@ -180,7 +180,7 @@ def test_projector_is_idempotent():
 
 def test_iterate_zero_steps_records_initial_state():
     rows = grover_iterate(StateVector.uniform(4), 0)
-    assert rows == [(0, 0.5, 0.25)]
+    assert rows.tolist() == [[0, 0.5, 0.25]]
 
 
 def test_iterate_rejects_negative_steps():
@@ -192,6 +192,24 @@ def test_iterate_four_hits_certainty_at_step_one():
     rows = grover_iterate(StateVector.uniform(4), 3)
     assert len(rows) == 4
     assert abs(rows[1][2] - 1.0) < 1e-12
+
+
+def test_trace_probability_past_the_float_range_is_inf():
+    # Squared with `*` over the column, as the amplify report squares: no warning.
+    rows = grover_iterate(StateVector.unnormalized(3, [1e200] * 3), 3)
+    assert np.all((rows[:, 1] > 1e154) & np.isfinite(rows[:, 1]))
+    assert np.all(rows[:, 2] == math.inf)
+
+
+def test_trace_reaches_certainty_only_at_n_four():
+    # Within the CLI's default cap ceil(2*sqrt(n)), the closest miss is n = 3658,
+    # step 47, 3.6e-11 below 1: a margin of 36 over the 1e-12 tolerance.  At
+    # n = 4 the step turns by 60 degrees, so certainty returns at step 1 + 3.
+    hits = []
+    for n in range(2, 4100):
+        trace = grover_iterate(StateVector.uniform(n), math.ceil(2.0 * math.sqrt(n)))
+        hits += [(n, step) for step in np.flatnonzero(np.abs(trace[:, 2] - 1.0) <= 1e-12).tolist()]
+    assert hits == [(4, 1), (4, 4)]
 
 
 def test_iterate_large_peak_matches_quarter_period():
@@ -206,7 +224,7 @@ def test_iterate_large_peak_matches_quarter_period():
 def test_trace_is_deterministic():
     a = grover_iterate(StateVector.uniform(64), 10)
     b = grover_iterate(StateVector.uniform(64), 10)
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,9 @@ def test_trace_writer_matches_per_value_oracle(n):
     rows = [(step, x, y) for step, x, y in zip(range(n), values, reversed(values))]
     assert dumps_trace_csv(rows) == reference_dumps_trace_csv(rows)
     trace = grover_iterate(StateVector.uniform(1000), n - 1)
-    assert dumps_trace_csv(trace) == reference_dumps_trace_csv(trace)
+    assert np.array_equal(trace[:, 0], np.arange(n))
+    steps = [(int(step), amp, prob) for step, amp, prob in trace.tolist()]
+    assert dumps_trace_csv(trace) == reference_dumps_trace_csv(steps)
 
 
 def test_csv_writers_on_no_rows_write_the_header():
