@@ -7,7 +7,6 @@ step where the classic trace passes 1/2.
 """
 
 import argparse
-import math
 
 from optamp import SearchProblem, compare_with_grover
 
@@ -23,7 +22,7 @@ def main() -> None:
     for k in range(1, args.kmax + 1):
         n = 2**k
         problem = SearchProblem(n, min(args.marked, n - 1))
-        report = compare_with_grover(problem, math.ceil(2.0 * math.sqrt(n)))
+        report = compare_with_grover(problem)
         rows.append(report)
         print(
             f"N={n:7d}  one-step P={report.one_step_probability:.12f}  "

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -36,11 +35,6 @@ def _input_state(args: argparse.Namespace) -> StateVector:
     return StateVector.uniform(args.n)
 
 
-def _steps(args: argparse.Namespace, n: int) -> int:
-    """``--max-steps``, or ceil(2*sqrt(n)) when it is not given."""
-    return args.max_steps if args.max_steps is not None else math.ceil(2.0 * math.sqrt(n))
-
-
 def _cmd_amplify(args: argparse.Namespace) -> tuple[str, int]:
     state = _input_state(args)
     if args.theta == "auto":
@@ -62,7 +56,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_grover(args: argparse.Namespace) -> tuple[str, int]:
     state = _input_state(args)
-    rows = grover_iterate(state, _steps(args, state.n))
+    rows = grover_iterate(state, args.max_steps)
     return dumps_trace_csv(rows), EXIT_OK
 
 
@@ -81,7 +75,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     problem = SearchProblem(args.n, args.marked)
-    report = compare_with_grover(problem, _steps(args, problem.n))
+    report = compare_with_grover(problem, args.max_steps)
     return report.to_json(), EXIT_OK
 
 

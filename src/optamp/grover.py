@@ -11,6 +11,7 @@ __all__ = [
 ]
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -44,15 +45,18 @@ def _grover_member(n: int) -> AmplifierSpec:
     return _spec_from_pair(n, (n - 2) / n, 2.0 * math.sqrt(n - 1) / n, SignChoice.grover())
 
 
-def grover_iterate(a: StateVector, steps: int) -> np.ndarray:
+def grover_iterate(a: StateVector, steps: Optional[int] = None) -> np.ndarray:
     """Iterate the search operator: a ``(steps + 1, 3)`` float64 table of rows
-    ``[step, |a[0]|, a[0]**2]`` from step 0.
+    ``[step, |a[0]|, a[0]**2]`` from step 0.  ``steps`` defaults to
+    ceil(2*sqrt(n)).
 
     D @ Z is the family's Grover member, so component 0 follows the reduced
     pair (a[0], sum(a[1:])) under that member's 2x2 map: one O(n) reduction
     plus O(steps) scalar work.  The trace agrees with iterated
     :func:`grover_apply` to roundoff, not bit for bit.
     """
+    if steps is None:
+        steps = math.ceil(2.0 * math.sqrt(a.n))
     if steps < 0:
         raise ParameterOutOfRange(f"steps must be nonnegative, got {steps}")
     p, q, u, v = _pair_block(_grover_member(a.n))

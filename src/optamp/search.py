@@ -81,17 +81,18 @@ class ComparisonReport:
         return _dumps_json(asdict(self))
 
 
-def compare_with_grover(p: SearchProblem, max_steps: int) -> ComparisonReport:
-    """Contrast the one-application search with up to ``max_steps`` classic iterations.
+def compare_with_grover(p: SearchProblem, max_steps: Optional[int] = None) -> ComparisonReport:
+    """Contrast the one-application search with up to ``max_steps`` classic
+    iterations, by default :func:`grover_iterate`'s ceil(2*sqrt(n)).
 
     Costs O(n + max_steps): the classic trace comes from :func:`grover_iterate`.
     """
-    if max_steps < 1:
+    if max_steps is not None and max_steps < 1:
         raise ParameterOutOfRange(f"max_steps must be at least 1, got {max_steps}")
     _, amplitude = one_step_search(p)
     probs = grover_iterate(StateVector.uniform(p.n), max_steps)[:, 2]
     falls, above = probs[1:] <= probs[:-1], probs > 0.5
-    peak = int(np.argmax(falls)) if falls.any() else max_steps
+    peak = int(np.argmax(falls)) if falls.any() else len(probs) - 1
     return ComparisonReport(
         n=p.n,
         marked=p.marked,

@@ -21,14 +21,17 @@ match their composition bit for bit.  `GroverOperator` writes the same step
 as dense matrices, the diffusion `D` and the iteration `D @ Z`; the
 library's in-place step applied to the identity must equal `matrix()` value
 for value.  `random_unit` is the test suite's one seeded unit-vector
-generator.  `PUBLIC_MODULES`, `basis`, `format_signs`, `flip_matrix`,
-`projector`, `is_absolute_optimal`, `predicate`, `from_predicate`,
-`write_trace_csv` and `src_env` are helpers only the tests use.
+generator.  `assert_same_text` is ``assert got == want`` for whole documents,
+failing in linear time with the first differing line.  `PUBLIC_MODULES`,
+`basis`, `format_signs`, `flip_matrix`, `projector`, `is_absolute_optimal`,
+`predicate`, `from_predicate`, `write_trace_csv` and `src_env` are helpers
+only the tests use.
 """
 
 import json
 import os
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
 
@@ -228,6 +231,24 @@ def reference_dumps_trace_csv(rows) -> str:
     for step, amp, prob in rows:
         lines.append(f"{step},{format_float(amp)},{format_float(prob)}")
     return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail unless ``got == want``, naming the first line that differs and
+    the column where it does.  pytest's own report on a failing ``==`` of two
+    long strings is an ndiff, quadratic in the number of differing lines."""
+    if got == want:
+        return
+    # Lines keep their ends, so they join back to the whole text: unequal
+    # texts always differ in some line, a missing one reading as "".
+    pairs = zip_longest(got.splitlines(True), want.splitlines(True), fillvalue="")
+    line, (g, w) = next((i, pair) for i, pair in enumerate(pairs, 1) if pair[0] != pair[1])
+    col = next((i for i, (x, y) in enumerate(zip(g, w)) if x != y), min(len(g), len(w)))
+    start = max(0, col - 60)
+    raise AssertionError(
+        f"texts differ at line {line}, column {col + 1}:\n"
+        f"  got:  {g[start : col + 60]!r}\n  want: {w[start : col + 60]!r}"
+    )
 
 
 def reference_loads_state_vector(text: str) -> StateVector:

@@ -183,6 +183,16 @@ def test_iterate_zero_steps_records_initial_state():
     assert rows.tolist() == [[0, 0.5, 0.25]]
 
 
+@pytest.mark.parametrize("start", ["uniform", "random"])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 1024, 4099])
+def test_iterate_default_steps_is_ceil_two_sqrt_n(n, start):
+    a = StateVector.uniform(n) if start == "uniform" else random_unit(np.random.default_rng(n), n)
+    cap = math.ceil(2.0 * math.sqrt(n))
+    rows = grover_iterate(a)
+    assert rows.shape == (cap + 1, 3)
+    assert rows.tobytes() == grover_iterate(a, cap).tobytes()
+
+
 def test_iterate_rejects_negative_steps():
     with pytest.raises(ParameterOutOfRange):
         grover_iterate(StateVector.uniform(4), -1)
@@ -202,7 +212,7 @@ def test_trace_probability_past_the_float_range_is_inf():
 
 
 def test_trace_reaches_certainty_only_at_n_four():
-    # Within the CLI's default cap ceil(2*sqrt(n)), the closest miss is n = 3658,
+    # Within the default cap ceil(2*sqrt(n)), the closest miss is n = 3658,
     # step 47, 3.6e-11 below 1: a margin of 36 over the 1e-12 tolerance.  At
     # n = 4 the step turns by 60 degrees, so certainty returns at step 1 + 3.
     hits = []

@@ -200,6 +200,12 @@ def test_compare_fields_are_trace_consistent():
     assert all(probs[i + 1] > probs[i] for i in range(peak))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 1024, 4099])
+def test_compare_default_cap_is_ceil_two_sqrt_n(n):
+    p = SearchProblem(n, n - 1)
+    assert compare_with_grover(p) == compare_with_grover(p, math.ceil(2.0 * math.sqrt(n)))
+
+
 def test_compare_rejects_bad_step_cap():
     with pytest.raises(ParameterOutOfRange):
         compare_with_grover(SearchProblem(8, 1), 0)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
+    assert_same_text,
     format_float,
     reference_dumps_state_vector,
     reference_dumps_sweep_csv,
@@ -56,34 +57,52 @@ def edge_values(n: int) -> np.ndarray:
 @pytest.mark.parametrize("n", SIZES)
 def test_state_writer_matches_per_value_oracle(n):
     vec = StateVector.unnormalized(n, edge_values(n))
-    assert dumps_state_vector(vec) == reference_dumps_state_vector(vec)
+    assert_same_text(dumps_state_vector(vec), reference_dumps_state_vector(vec))
     unit = StateVector.uniform(n)
-    assert dumps_state_vector(unit) == reference_dumps_state_vector(unit)
+    assert_same_text(dumps_state_vector(unit), reference_dumps_state_vector(unit))
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_sweep_writer_matches_per_value_oracle(n):
     values = edge_values(n).tolist()
     rows = list(zip(values, reversed(values)))
-    assert dumps_sweep_csv(rows) == reference_dumps_sweep_csv(rows)
+    assert_same_text(dumps_sweep_csv(rows), reference_dumps_sweep_csv(rows))
     swept = theta_sweep(StateVector.uniform(max(n, 3)), points=n)
-    assert dumps_sweep_csv(swept) == reference_dumps_sweep_csv(swept)
+    assert_same_text(dumps_sweep_csv(swept), reference_dumps_sweep_csv(swept))
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_trace_writer_matches_per_value_oracle(n):
     values = edge_values(n).tolist()
     rows = [(step, x, y) for step, x, y in zip(range(n), values, reversed(values))]
-    assert dumps_trace_csv(rows) == reference_dumps_trace_csv(rows)
+    assert_same_text(dumps_trace_csv(rows), reference_dumps_trace_csv(rows))
     trace = grover_iterate(StateVector.uniform(1000), n - 1)
     assert np.array_equal(trace[:, 0], np.arange(n))
     steps = [(int(step), amp, prob) for step, amp, prob in trace.tolist()]
-    assert dumps_trace_csv(trace) == reference_dumps_trace_csv(steps)
+    assert_same_text(dumps_trace_csv(trace), reference_dumps_trace_csv(steps))
 
 
 def test_csv_writers_on_no_rows_write_the_header():
-    assert dumps_sweep_csv([]) == reference_dumps_sweep_csv([])
-    assert dumps_trace_csv([]) == reference_dumps_trace_csv([])
+    assert_same_text(dumps_sweep_csv([]), reference_dumps_sweep_csv([]))
+    assert_same_text(dumps_trace_csv([]), reference_dumps_trace_csv([]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("ab\n\r\x0b"), st.text("ab\n\r\x0b"))
+def test_same_text_check_is_exactly_as_strict_as_equality(got, want):
+    try:
+        assert_same_text(got, want)
+    except AssertionError:
+        assert got != want
+    else:
+        assert got == want
+
+
+def test_same_text_check_names_the_first_differing_line():
+    with pytest.raises(AssertionError, match=r"line 3, column 1:\n  got:  'x\\n'\n  want: ''"):
+        assert_same_text("a\nb\nx\n", "a\nb\n")
+    with pytest.raises(AssertionError, match=r"line 2, column 1:\n  got:  '2\\n'\n  want: '3\\n'"):
+        assert_same_text("1\n2\n" * 5000, "1\n3\n" * 5000)
 
 
 def test_state_writer_peak_memory_is_near_its_output():
@@ -311,13 +330,13 @@ fallback_values = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(st.lists(finite_doubles, min_size=1, max_size=40))
 def test_text_of_any_finite_doubles_is_format_17g(values):
-    assert written(values) == wanted(values)
+    assert_same_text(written(values), wanted(values))
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.one_of(fallback_values, finite_doubles), min_size=1, max_size=40))
 def test_text_of_every_fallback_class_is_format_17g(values):
-    assert written(values) == wanted(values)
+    assert_same_text(written(values), wanted(values))
 
 
 def test_exact_ties_round_half_to_even():
@@ -329,20 +348,20 @@ def test_exact_ties_round_half_to_even():
         scaled = Fraction(x) * Fraction(10) ** (16 - math.floor(math.log10(x)))
         assert scaled.denominator == 2 and 10**16 < scaled < 10**17
     values += [-x for x in values] + [math.nextafter(x, math.inf) for x in values]
-    assert written(values) == wanted(values)
+    assert_same_text(written(values), wanted(values))
 
 
 def test_powers_of_ten_and_their_neighbours():
     values = [float(f"1e{j}") for j in range(-323, 309)] + [10.0**j for j in range(-300, 300)]
     values += [math.nextafter(x, to) for x in values for to in (0.0, math.inf)]
     values += [float(j) for j in range(-1000, 1000)] + [2.0**j for j in range(-1074, 1024)]
-    assert written(values) == wanted(values)
+    assert_same_text(written(values), wanted(values))
 
 
 def test_a_million_random_bit_patterns():
     bits = np.random.default_rng(20261018).integers(0, 2**64, size=10**6, dtype=np.uint64)
     values = bits.view(np.float64)
-    assert written(values) == wanted(values.tolist())
+    assert_same_text(written(values), wanted(values.tolist()))
 
 
 # Around the writers' chunk: _CHUNK values of the state, _CHUNK // 3 rows of a CSV.
@@ -352,16 +371,16 @@ CSV_CHUNK = _CHUNK // 3
 @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
 def test_state_writer_at_the_chunk_edge(n):
     vec = StateVector.unnormalized(n, edge_values(n))
-    assert dumps_state_vector(vec) == reference_dumps_state_vector(vec)
+    assert_same_text(dumps_state_vector(vec), reference_dumps_state_vector(vec))
 
 
 @pytest.mark.parametrize("n", [CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 1])
 def test_csv_writers_at_the_chunk_edge(n):
     values = edge_values(n).tolist()
     rows = list(zip(values, reversed(values)))
-    assert dumps_sweep_csv(rows) == reference_dumps_sweep_csv(rows)
+    assert_same_text(dumps_sweep_csv(rows), reference_dumps_sweep_csv(rows))
     steps = [(step, x, y) for step, (x, y) in enumerate(rows)]
-    assert dumps_trace_csv(steps) == reference_dumps_trace_csv(steps)
+    assert_same_text(dumps_trace_csv(steps), reference_dumps_trace_csv(steps))
 
 
 def test_writers_warn_about_nothing():
@@ -371,6 +390,6 @@ def test_writers_warn_about_nothing():
     vec = StateVector.unnormalized(len(values), values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert dumps_state_vector(vec) == reference_dumps_state_vector(vec)
-        assert dumps_sweep_csv(rows) == reference_dumps_sweep_csv(rows)
-        assert dumps_trace_csv(steps) == reference_dumps_trace_csv(steps)
+        assert_same_text(dumps_state_vector(vec), reference_dumps_state_vector(vec))
+        assert_same_text(dumps_sweep_csv(rows), reference_dumps_sweep_csv(rows))
+        assert_same_text(dumps_trace_csv(steps), reference_dumps_trace_csv(steps))
