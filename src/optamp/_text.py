@@ -29,7 +29,6 @@ a chunk's bytes gives its text.
 from __future__ import annotations
 
 import functools
-import threading
 
 import numpy as np
 
@@ -60,12 +59,6 @@ _K_MIN, _K_MAX = -281, 280
 # The fixed notation of %.17g: exponents -4 <= X < 17.
 _FIXED_MIN, _FIXED_END = -4, 17
 
-# Columns of `_powers`: hi, hi's Veltkamp halves, lo; column k - _K_MIN
-# holds 10**(16 - k).  Filled one exponent at a time, on first use.
-_powers = np.zeros((4, _K_MAX - _K_MIN + 1))
-_powers_ready = np.zeros(_K_MAX - _K_MIN + 1, dtype=bool)
-_powers_lock = threading.Lock()
-
 
 def _veltkamp(y):
     """``(head, tail)`` with ``head + tail == y`` and 26-bit halves."""
@@ -74,30 +67,29 @@ def _veltkamp(y):
     return head, y - head
 
 
-def _scales(k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(hi, hi_head, hi_tail, lo)`` of ``10**(16 - k)`` for each ``k``:
-    ``hi`` and ``lo`` correctly rounded from exact rationals."""
-    first, last = int(k.min()) - _K_MIN, int(k.max()) - _K_MIN
-    with _powers_lock:
-        for col in np.flatnonzero(~_powers_ready[first : last + 1]) + first:
-            j = 16 - _K_MIN - int(col)
-            num, den = 10 ** max(j, 0), 10 ** max(-j, 0)
-            top = num / den  # int true division rounds correctly
-            top_num, top_den = top.as_integer_ratio()
-            rest = (num * top_den - top_num * den) / (den * top_den)
-            _powers[:, col] = (top, *_veltkamp(top), rest)
-            _powers_ready[col] = True
-    return tuple(row.take(k - _K_MIN) for row in _powers)
-
-
 def _words(texts) -> np.ndarray:
     """Each text as one NUL-padded word."""
     return np.frombuffer(b"".join(t.encode("ascii").ljust(8, b"\0") for t in texts), dtype=_WORD)
 
 
+# Built once per process, on the first text write, and never changed
+# afterwards.  Threads that race the first call may each build them; every
+# build is the same, so no lock is needed.
 @functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The word tables: prefixes, exponents and digit masks of integers."""
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables: powers of ten, then the words of prefixes, exponents and
+    digit masks of integers."""
+    # [hi, hi's Veltkamp halves, lo; k - _K_MIN]: hi + lo is 10**(16 - k),
+    # hi and lo each correctly rounded from exact rationals.
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
+        top = num / den  # int true division rounds correctly
+        top_num, top_den = top.as_integer_ratio()
+        hi.append(top)
+        lo.append((num * top_den - top_num * den) / (den * top_den))
+    hi = np.array(hi)
+    powers = np.array([hi, *_veltkamp(hi), lo])
     # [sign, zeros, first digit, dot]: zeros 0 is "d" or "d.", zeros z > 0
     # is "0." and z - 1 zeros before "d".
     prefix = _words(
@@ -113,7 +105,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     upper = [(1 << 8 * min(x, 8)) - 1 for x in range(_FIXED_END)]
     lower = [(1 << 8 * max(x - 8, 0)) - 1 for x in range(_FIXED_END)]
     whole = np.array([upper, lower], dtype=_U)
-    return prefix, exponent, whole
+    return powers, prefix, exponent, whole
 
 
 def _digits8(n: np.ndarray) -> np.ndarray:
@@ -146,14 +138,14 @@ def format_rows(rows: np.ndarray, sep: str) -> bytes:
     """ASCII text of the 2-D float64 ``rows``: each value as ``'%.17g' % x``,
     the values of a row joined by ``,``, and each row ended by ``sep`` (at
     most three characters)."""
-    prefix, exponent, whole = _tables()
+    powers, prefix, exponent, whole = _tables()
     ends = np.full(rows.shape[1], _end(","), dtype=_U)
     ends[-1] = _end(sep)
     a = np.abs(rows)
     fast = (a >= _MIN) & (a <= _MAX)  # false for nan
     a = np.where(fast, a, 1.5)
     k = np.floor(np.log10(a)).astype(np.int64)
-    hi, hi_head, hi_tail, lo = _scales(k)
+    hi, hi_head, hi_tail, lo = powers.take(k - _K_MIN, axis=1)
     p = a * hi
     head, tail = _veltkamp(a)
     r = (((head * hi_head - p) + head * hi_tail + tail * hi_head) + tail * hi_tail) + a * lo

@@ -10,7 +10,7 @@ from typing import Optional
 
 from .family import SignChoice, make_spec
 from .grover import dumps_trace_csv, grover_iterate
-from .optimal import _amplify, amplify_optimal, dumps_sweep_csv, theta_sweep
+from .optimal import SWEEP_POINTS, _amplify, amplify_optimal, dumps_sweep_csv, theta_sweep
 from .search import SearchProblem, compare_with_grover, one_step_search
 from .state import StateVector, _dumps_json, _write_text, load_state_vector, save_state_vector
 from .verify import run_verification
@@ -162,7 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_sweep)
     add_io(p)
     p.add_argument(
-        "--points", type=_count, default=1000, help="grid resolution (default 1000, at most 10**6)"
+        "--points",
+        type=_count,
+        default=SWEEP_POINTS,
+        help=f"grid resolution (default {SWEEP_POINTS}, at most 10**6)",
     )
 
     p = sub.add_parser("grover", help="iterate the classic search operator (CSV trace)")

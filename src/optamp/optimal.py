@@ -21,6 +21,9 @@ from .state import StateVector, _dumps_json, _join_records
 
 SWEEP_HEADER = "theta,amplitude0,probability0"
 
+# Grid points of a sweep that names none.
+SWEEP_POINTS = 1000
+
 # Component 0 holding all but this share of the input's squared norm counts as absolute.
 ABSOLUTE_TOL = 1e-9
 
@@ -92,7 +95,7 @@ def amplify_optimal(
     return _amplify(a, make_spec(a.n, optimal_theta(a), signs))
 
 
-def theta_sweep(a: StateVector, points: int = 1000) -> np.ndarray:
+def theta_sweep(a: StateVector, points: int = SWEEP_POINTS) -> np.ndarray:
     """Post-application magnitude of component 0 over an even grid on [0, 2*pi),
     as a ``(points, 2)`` float64 table of rows ``[theta, amplitude0]``.
 

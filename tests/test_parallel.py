@@ -1,6 +1,7 @@
 """The O(n) passes that run on two threads from `_PARALLEL_MIN` elements up:
 the same bits as one pass on either side of the split, no warning from the
-worker, safe under concurrent callers and after a fork."""
+worker, safe under concurrent callers and after a fork.  The text writer's
+first call, from four threads at once, writes what one thread writes."""
 
 import multiprocessing
 import os
@@ -379,3 +380,67 @@ def test_norm_is_the_root_of_np_sum_of_squares(n):
     raw = np.random.default_rng(n).standard_normal(n)
     want = np.float64(np.sqrt(np.sum(raw * raw)))
     assert np.float64(StateVector.unnormalized(n, raw).norm()).tobytes() == want.tobytes()
+
+
+# Prints the sha256 digest of four documents: a 2**18 state, a sweep, a
+# 726-row trace and one 16 Ki chunk spanning 1e-279..1e279 with a value of
+# every fallback class.  They are the process's first text writes, from four
+# threads at once, switching every microsecond, when argv[1] is "threads",
+# else one after another.
+_WRITE_PROBE = """
+import hashlib, math, sys, threading
+import numpy as np
+from optamp import StateVector, dumps_state_vector, dumps_sweep_csv, dumps_trace_csv
+from optamp import grover_iterate, theta_sweep
+from optamp.state import _CHUNK, _join_records
+from optamp.verify import random_unit_vector
+rng = np.random.default_rng(28)
+state = random_unit_vector(rng, 2**18)
+sweep = theta_sweep(state)
+trace = grover_iterate(StateVector.uniform(2**17))
+chunk = rng.uniform(1.0, 10.0, _CHUNK) * 10.0 ** rng.integers(-279, 280, _CHUNK)
+chunk *= rng.choice([-1.0, 1.0], _CHUNK)
+fallback = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, -1e300]
+fallback += [1 + 2**-17, 2.0**-25, 1e100, 123.25]
+chunk[::64] = np.resize(fallback, len(chunk[::64]))
+writes = {
+    "state": lambda: dumps_state_vector(state),
+    "sweep": lambda: dumps_sweep_csv(sweep),
+    "trace": lambda: dumps_trace_csv(trace),
+    "chunk": lambda: _join_records("\\n", chunk),
+}
+assert len(trace) == 726 and "optamp._text" not in sys.modules
+texts = {}
+if sys.argv[1] == "threads":
+    sys.setswitchinterval(1e-6)
+    start = threading.Barrier(len(writes))
+    def write(name):
+        start.wait()
+        texts[name] = writes[name]()
+    threads = [threading.Thread(target=write, args=(name,)) for name in writes]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
+else:
+    texts = {name: write() for name, write in writes.items()}
+for name in writes:
+    print(name, hashlib.sha256(texts[name].encode()).hexdigest())
+"""
+
+
+def test_first_text_writes_from_four_threads_match_one_thread():
+    threads, one = (
+        subprocess.run(
+            [sys.executable, "-c", _WRITE_PROBE, side],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            check=True,
+            timeout=2 * JOIN_TIMEOUT_S,
+        ).stdout
+        for side in ("threads", "one")
+    )
+    assert one.count("\n") == 4
+    assert threads == one
