@@ -81,9 +81,12 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     digit masks of integers."""
     # [hi, hi's Veltkamp halves, lo; k - _K_MIN]: hi + lo is 10**(16 - k),
     # hi and lo each correctly rounded from exact rationals.
+    ten = [1]  # ten[j] == 10**j up to j = 16 - _K_MIN, one product each
+    while len(ten) <= 16 - _K_MIN:
+        ten.append(ten[-1] * 10)
     hi, lo = [], []
     for k in range(_K_MIN, _K_MAX + 1):
-        num, den = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
+        num, den = ten[max(16 - k, 0)], ten[max(k - 16, 0)]
         top = num / den  # int true division rounds correctly
         top_num, top_den = top.as_integer_ratio()
         hi.append(top)

@@ -41,14 +41,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DenseCapExceeded, DimensionError, ParameterOutOfRange
-from .state import (
-    StateVector,
-    _fresh,
-    _require_dimension,
-    _sum_by_halves,
-    _tree,
-)
+from .errors import DenseCapExceeded, ParameterOutOfRange
+from .state import StateVector, _fresh, _require_dimension, _require_same_dimension, _sum_by_leaves
 
 TWO_PI = 2.0 * math.pi
 
@@ -254,17 +248,12 @@ def _pair_block(spec: AmplifierSpec) -> tuple[float, float, float, float]:
     return p, q, eps2 * (spec.n - 1) * r, -eps2 * s0 * p
 
 
-def _require_same_dimension(spec: AmplifierSpec, a: StateVector) -> None:
-    if a.n != spec.n:
-        raise DimensionError(f"state has dimension {a.n}, spec expects {spec.n}")
-
-
 def eta_functional(spec: AmplifierSpec, a: StateVector) -> float:
     """The linear functional feeding component 0: out[0] = eps1 * (a[0] + eta(a)).
 
     eta(a) = (-1 + eps4*beta0) * a[0] + eps4*eps3*gamma0 * sum(a[1:]).
     """
-    _require_same_dimension(spec, a)
+    _require_same_dimension(a, spec.n, "spec")
     p, q, _, _ = _block(spec.n, spec.cos, spec.sin, spec.signs.effective[0])
     a0, tail_sum = a._reduced
     return spec.signs.eps1 * (p * a0 + q * tail_sum) - a0
@@ -275,7 +264,7 @@ def c_functional(spec: AmplifierSpec, a: StateVector) -> float:
 
     c(a) = gamma0 * a[0] - (1 + eps3*beta0)/(n - 1) * sum(a[1:]).
     """
-    _require_same_dimension(spec, a)
+    _require_same_dimension(a, spec.n, "spec")
     a0, tail_sum = a._reduced
     return spec.gamma0 * a0 + spec.gamma_i * tail_sum
 
@@ -296,7 +285,7 @@ def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
     on two threads, with the same bits.  An entry or tail sum that
     overflows is inf, with no warning; an inf entry is refused.
     """
-    _require_same_dimension(spec, a)
+    _require_same_dimension(a, spec.n, "spec")
     s0, eps2 = spec.signs.effective
     p, q, r, t = _block(spec.n, spec.cos, spec.sin, s0)
     a0, tail_sum = a._reduced
@@ -311,7 +300,7 @@ def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
             np.negative(block, out=block)
         return block.sum()
 
-    out_sum = _sum_by_halves(spec.n - 1, lambda lo, hi: _tree(lo, hi, leaf))
+    out_sum = _sum_by_leaves(spec.n - 1, leaf)
     out[0] = out0 = p * a0 + q * tail_sum
     return StateVector._adopt(spec.n, out, (out0, out_sum))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange
 from .family import AmplifierSpec, SignChoice, _pair_block, _spec_from_pair, dense_matrix
-from .state import StateVector, _fresh_copy, _join_records
+from .state import StateVector, _fresh_copy, _join_records, _probability_table
 
 TRACE_HEADER = "step,amplitude0,probability0"
 
@@ -65,9 +65,7 @@ def grover_iterate(a: StateVector, steps: Optional[int] = None) -> np.ndarray:
     for _ in range(steps):
         x, tail_sum = p * x + q * tail_sum, u * x + v * tail_sum
         column.append(x)
-    amp = np.abs(column)
-    with np.errstate(over="ignore"):  # an amplitude past 1e154 squares to inf, as in Python
-        return np.column_stack([np.arange(steps + 1, dtype=np.float64), amp, amp * amp])
+    return _probability_table(np.arange(steps + 1, dtype=np.float64), np.abs(column))
 
 
 def corollary_equivalence_check(n: int) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, SumZero
 from .family import TWO_PI, AmplifierSpec, SignChoice, _block, apply, make_spec, reduce_angle
-from .state import StateVector, _dumps_json, _join_records
+from .state import StateVector, _dumps_json, _join_records, _probability_table
 
 SWEEP_HEADER = "theta,amplitude0,probability0"
 
@@ -119,6 +119,4 @@ def theta_sweep(a: StateVector, points: int = SWEEP_POINTS) -> np.ndarray:
 def dumps_sweep_csv(rows: np.ndarray) -> str:
     """The CSV of a :func:`theta_sweep` table, or of any ``[theta, amplitude0]`` rows."""
     theta, amp = np.asarray(rows, dtype=np.float64).reshape(-1, 2).T
-    with np.errstate(over="ignore"):  # an amplitude past 1e154 squares to inf, as in Python
-        table = np.column_stack([theta, amp, amp * amp])
-    return _join_records("\n", table, SWEEP_HEADER + "\n", "\n")
+    return _join_records("\n", _probability_table(theta, amp), SWEEP_HEADER + "\n", "\n")

@@ -15,10 +15,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, ParameterOutOfRange
+from .errors import ParameterOutOfRange
 from .grover import grover_iterate
 from .optimal import amplify_optimal
-from .state import StateVector, _dumps_json, _fresh_copy, _require_dimension
+from .state import (
+    StateVector,
+    _dumps_json,
+    _fresh_copy,
+    _require_dimension,
+    _require_same_dimension,
+)
 
 
 @dataclass(frozen=True)
@@ -36,8 +42,7 @@ class SearchProblem:
 
 def relabel_apply(p: SearchProblem, a: StateVector) -> StateVector:
     """Swap components 0 and marked; an exact involution, identity when marked == 0."""
-    if a.n != p.n:
-        raise DimensionError(f"state has dimension {a.n}, problem expects {p.n}")
+    _require_same_dimension(a, p.n, "problem")
     out = _fresh_copy(a.amplitudes)
     out[0], out[p.marked] = out[p.marked], out[0]
     return StateVector._adopt(a.n, out)

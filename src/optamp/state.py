@@ -103,6 +103,13 @@ def _tree(lo: int, hi: int, leaf) -> float:
     return _tree(lo, h, leaf) + _tree(h, hi, leaf)
 
 
+def _sum_by_leaves(m: int, leaf) -> float:
+    """``_sum_by_halves`` of ``_tree``: the sum of ``leaf(lo, hi)`` over the
+    ``_LEAF``-element leaves of a run of ``m``, along numpy's pairwise-sum
+    tree, so a leaf's ``np.sum(f(x[lo:hi]))`` gives ``np.sum(f(x))`` bit for bit."""
+    return _sum_by_halves(m, lambda lo, hi: _tree(lo, hi, leaf))
+
+
 def _sum_of_squares(arr: np.ndarray) -> float:
     """``np.sum(arr * arr)`` of a contiguous 1-D array, bit for bit, on any
     number of CPUs, with no full-size temporary: one ``_LEAF`` of squares
@@ -111,11 +118,7 @@ def _sum_of_squares(arr: np.ndarray) -> float:
     thread count, so its last bits depend on the CPU count; every sum of
     squares comes from here.  Overflow gives inf, with no warning.
     """
-
-    def leaf(lo: int, hi: int) -> float:
-        return np.sum(np.square(arr[lo:hi]))
-
-    return _sum_by_halves(arr.shape[0], lambda lo, hi: _tree(lo, hi, leaf))
+    return _sum_by_leaves(arr.shape[0], lambda lo, hi: np.sum(np.square(arr[lo:hi])))
 
 
 def _refs(ring: list, i: int) -> int:
@@ -216,6 +219,21 @@ def _require_dimension(n: int) -> None:
     """The rule every type here shares: a dimension is at least 2."""
     if n < 2:
         raise DimensionError(f"dimension must be at least 2, got {n}")
+
+
+def _require_same_dimension(a: StateVector, n: int, owner: str) -> None:
+    """The rule every operator on a state shares: ``a`` has the dimension
+    ``n`` of the ``owner`` (``"spec"``, ``"problem"``) that acts on it."""
+    if a.n != n:
+        raise DimensionError(f"state has dimension {a.n}, {owner} expects {n}")
+
+
+def _probability_table(first, amp) -> np.ndarray:
+    """Rows ``[first, amp, amp * amp]``: every probability is an amplitude
+    squared with ``*``, correctly rounded where ``**`` is not; one past 1e154
+    squares to inf, as in Python, with no warning."""
+    with np.errstate(over="ignore"):
+        return np.column_stack([first, amp, amp * amp])
 
 
 def _float64_copy(amplitudes) -> np.ndarray:
@@ -384,6 +402,9 @@ def loads_state_vector(text: str | bytes) -> StateVector:
     # Loaded on first use: a process that reads no state file never loads it.
     import orjson
 
+    def find(mark: str, lo: int = 0, hi: int | None = None) -> int:
+        return text.find(mark if isinstance(text, str) else mark.encode(), lo, hi)
+
     # A state document is one object around one flat list, keyed "n" and
     # "amplitudes", so a second "[" or "{", or a fifth '"', marks an invalid
     # one, such as one that repeats a key.  orjson 3.8 crashes the process on
@@ -392,7 +413,7 @@ def loads_state_vector(text: str | bytes) -> StateVector:
     for mark, most in (("[", 1), ("{", 1), ('"', 4)):
         at = -1
         for _ in range(most + 1):
-            at = text.find(mark if isinstance(text, str) else mark.encode(), at + 1)
+            at = find(mark, at + 1)
             if at < 0:
                 break
         else:
@@ -412,9 +433,13 @@ def loads_state_vector(text: str | bytes) -> StateVector:
     n, amps = obj["n"], obj["amplitudes"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise StateFormatError('"n" must be an integer')
-    # orjson builds exact int, float and bool, never a subclass, so one
-    # scan of the types accepts ints and floats and rejects bools.
-    if not isinstance(amps, list) or not set(map(type, amps)) <= {int, float}:
+    # The guard leaves the list no string and no nest, so between its one
+    # "[" and the first "]" after it only true, false and null put a "u" or
+    # an "l"; NaN, Infinity and exponents hold neither.  The bound keeps out
+    # an escaped key such as "\u006e".  Single-byte finds run at memchr speed.
+    lo = find("[")
+    hi = find("]", lo)
+    if not isinstance(amps, list) or find("u", lo, hi) >= 0 or find("l", lo, hi) >= 0:
         raise StateFormatError('"amplitudes" must be a list of numbers')
     if len(amps) != n:
         raise StateFormatError(f'"n" is {n} but {len(amps)} amplitudes were given')

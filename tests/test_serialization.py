@@ -34,6 +34,7 @@ from optamp import (
     theta_sweep,
 )
 from optamp import state as state_module
+from optamp._text import _K_MAX, _K_MIN, _tables
 from optamp.cli import main
 from optamp.grover import dumps_trace_csv
 from optamp.optimal import dumps_sweep_csv
@@ -133,7 +134,8 @@ amplitude_values = st.one_of(
 
 @st.composite
 def state_documents(draw):
-    """State JSON text, valid and not: any amplitudes, any "n", extra or missing keys."""
+    """State JSON text, valid and not: any amplitudes, any "n", extra or missing
+    keys, in either key order, compact or indented."""
     amps = draw(
         st.one_of(
             st.lists(amplitude_values, max_size=6),
@@ -147,8 +149,9 @@ def state_documents(draw):
     doc.update(draw(st.dictionaries(st.sampled_from(["extra", "n", "N"]), st.integers(), max_size=1)))
     if draw(st.booleans()) and draw(st.booleans()):
         del doc[draw(st.sampled_from(["n", "amplitudes"]))]
-    text = json.dumps(doc)
-    return draw(st.one_of(st.just(text), st.just(text[: len(text) // 2]), st.just(json.dumps([doc]))))
+    layout = {"sort_keys": draw(st.booleans()), "indent": draw(st.sampled_from([None, 2]))}
+    text, nested = json.dumps(doc, **layout), json.dumps([doc], **layout)
+    return draw(st.one_of(st.just(text), st.just(text[: len(text) // 2]), st.just(nested)))
 
 
 def outcome(loads, text):
@@ -180,6 +183,63 @@ def test_numbers_orjson_refuses_are_refused_as_the_per_element_scan(n, number):
     assert want is not None
     for doc in (text, text.encode()):
         assert outcome(loads_state_vector, doc)[1] is want
+
+
+@pytest.mark.parametrize("literal", ("true", "false", "null"))
+@pytest.mark.parametrize("where", ("first", "middle", "last"))
+def test_non_number_literal_anywhere_in_a_large_list_is_refused(literal, where):
+    n = 2**18
+    numbers = ["0.001953125"] * n  # 2**-9, so the document is a unit vector
+    numbers[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = literal
+    text = f'{{"n": {n}, "amplitudes": [{", ".join(numbers)}]}}'
+    for doc in (text, text.encode("ascii")):
+        with pytest.raises(StateFormatError) as info:
+            loads_state_vector(doc)
+        assert str(info.value) == '"amplitudes" must be a list of numbers'
+
+
+@pytest.mark.parametrize(
+    "text",
+    (
+        '{"amplitudes": [0.6, 0.8], "\\u006e": 2}',
+        '{"\\u006e": 2, "amplitudes": [0.6, 0.8]}',
+        '{"n": 2, "amp\\u006citudes": [0.6, 0.8]}',
+    ),
+)
+def test_escaped_key_letters_outside_the_list_load(text):
+    for doc in (text, text.encode("ascii")):
+        got = loads_state_vector(doc)
+        assert got.n == 2 and got.amplitudes.tolist() == [0.6, 0.8]
+
+
+@pytest.mark.parametrize(
+    ("number", "message"),
+    (
+        ("NaN", "amplitudes must all be finite"),
+        ("-Infinity", "amplitudes must all be finite"),
+        ("1e400", "amplitudes must all be finite"),
+        ("9" * 400, "amplitudes must fit in a float64"),
+    ),
+    ids=("NaN", "-Infinity", "1e400", "400-nines"),
+)
+def test_numbers_orjson_refuses_keep_their_messages(number, message):
+    text = f'{{"n": 2, "amplitudes": [{number}, {number}]}}'
+    for doc in (text, text.encode("ascii")):
+        with pytest.raises(StateFormatError) as info:
+            loads_state_vector(doc)
+        assert str(info.value).startswith(message)
+
+
+def test_power_table_holds_each_power_of_ten_correctly_rounded():
+    powers = _tables()[0]
+    assert powers.shape == (4, _K_MAX - _K_MIN + 1) == (4, 562)
+    for k, (hi, head, tail, lo) in zip(range(_K_MIN, _K_MAX + 1), powers.T.tolist()):
+        exact = Fraction(10) ** (16 - k)
+        assert hi == float(exact)
+        assert lo == float(exact - Fraction(hi))
+        assert head + tail == hi
+        for half in (head, tail):  # 26 significant bits at most
+            assert (math.frexp(half)[0] * 2**26).is_integer()
 
 
 # Each loader below parses a document of these numbers into a StateVector.
