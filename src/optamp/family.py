@@ -248,15 +248,22 @@ def _pair_block(spec: AmplifierSpec) -> tuple[float, float, float, float]:
     return p, q, eps2 * (spec.n - 1) * r, -eps2 * s0 * p
 
 
+def _pair_image(spec: AmplifierSpec, a: StateVector) -> tuple[float, float, float]:
+    """``(a[0], out[0], c(a))`` from the pair (a[0], S), read once: p*a0 + q*S and
+    r*a0 + t*S, where r and t are ``gamma0`` and ``gamma_i`` bit for bit."""
+    _require_same_dimension(a, spec.n, "spec")
+    p, q, r, t = _block(spec.n, spec.cos, spec.sin, spec.signs.effective[0])
+    a0, tail_sum = a._reduced
+    return a0, p * a0 + q * tail_sum, r * a0 + t * tail_sum
+
+
 def eta_functional(spec: AmplifierSpec, a: StateVector) -> float:
     """The linear functional feeding component 0: out[0] = eps1 * (a[0] + eta(a)).
 
     eta(a) = (-1 + eps4*beta0) * a[0] + eps4*eps3*gamma0 * sum(a[1:]).
     """
-    _require_same_dimension(a, spec.n, "spec")
-    p, q, _, _ = _block(spec.n, spec.cos, spec.sin, spec.signs.effective[0])
-    a0, tail_sum = a._reduced
-    return spec.signs.eps1 * (p * a0 + q * tail_sum) - a0
+    a0, out0, _ = _pair_image(spec, a)
+    return spec.signs.eps1 * out0 - a0
 
 
 def c_functional(spec: AmplifierSpec, a: StateVector) -> float:
@@ -264,9 +271,7 @@ def c_functional(spec: AmplifierSpec, a: StateVector) -> float:
 
     c(a) = gamma0 * a[0] - (1 + eps3*beta0)/(n - 1) * sum(a[1:]).
     """
-    _require_same_dimension(a, spec.n, "spec")
-    a0, tail_sum = a._reduced
-    return spec.gamma0 * a0 + spec.gamma_i * tail_sum
+    return _pair_image(spec, a)[2]
 
 
 def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
@@ -285,11 +290,8 @@ def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
     on two threads, with the same bits.  An entry or tail sum that
     overflows is inf, with no warning; an inf entry is refused.
     """
-    _require_same_dimension(a, spec.n, "spec")
-    s0, eps2 = spec.signs.effective
-    p, q, r, t = _block(spec.n, spec.cos, spec.sin, s0)
-    a0, tail_sum = a._reduced
-    src, c = a.amplitudes[1:], r * a0 + t * tail_sum
+    _, out0, c = _pair_image(spec, a)
+    eps2, src = spec.signs.eps2, a.amplitudes[1:]
     out = _fresh(spec.n)
     dst = out[1:]
 
@@ -301,7 +303,7 @@ def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
         return block.sum()
 
     out_sum = _sum_by_leaves(spec.n - 1, leaf)
-    out[0] = out0 = p * a0 + q * tail_sum
+    out[0] = out0
     return StateVector._adopt(spec.n, out, (out0, out_sum))
 
 

@@ -237,10 +237,14 @@ def _probability_table(first, amp) -> np.ndarray:
 
 
 def _float64_copy(amplitudes) -> np.ndarray:
-    """A new float64 array of ``amplitudes``; one past the float64 range
-    raises StateFormatError."""
+    """A new float64 array of ``amplitudes``.  An input numpy reads as text,
+    bytes, bools or complex values, or one past the float64 range, raises
+    StateFormatError; a bool among numbers is read as 0 or 1."""
+    arr = np.array(amplitudes)
+    if arr.dtype.kind not in "iufO":
+        raise StateFormatError(f"amplitudes must be real numbers, got dtype {arr.dtype}")
     try:
-        return np.array(amplitudes, dtype=np.float64)
+        return arr.astype(np.float64, copy=False)
     except OverflowError as exc:
         raise StateFormatError(f"amplitudes must fit in a float64: {exc}") from exc
 
@@ -397,35 +401,33 @@ def dumps_state_vector(state: StateVector) -> str:
 
 
 def loads_state_vector(text: str | bytes) -> StateVector:
-    """Parse the shared JSON format, from ``str`` or UTF-8 ``bytes``;
-    structural errors raise StateFormatError."""
+    """Parse the shared JSON format from UTF-8 ``bytes``, or a ``str`` taken as its
+    UTF-8 bytes, where a lone surrogate is refused; structural errors raise StateFormatError."""
     # Loaded on first use: a process that reads no state file never loads it.
     import orjson
 
-    def find(mark: str, lo: int = 0, hi: int | None = None) -> int:
-        return text.find(mark if isinstance(text, str) else mark.encode(), lo, hi)
-
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     # A state document is one object around one flat list, keyed "n" and
     # "amplitudes", so a second "[" or "{", or a fifth '"', marks an invalid
     # one, such as one that repeats a key.  orjson 3.8 crashes the process on
     # a deep closed nest such as "[" * 10**6 + "]" * 10**6, so no nest reaches
     # it.  `find` runs at memchr speed, where `count` would take milliseconds.
-    for mark, most in (("[", 1), ("{", 1), ('"', 4)):
+    for mark, most in ((b"[", 1), (b"{", 1), (b'"', 4)):
         at = -1
         for _ in range(most + 1):
-            at = find(mark, at + 1)
+            at = data.find(mark, at + 1)
             if at < 0:
                 break
         else:
             raise StateFormatError('expected one flat list under the keys "n" and "amplitudes"')
     try:
-        obj = orjson.loads(text)
+        obj = orjson.loads(data)
     except orjson.JSONDecodeError as exc:
         # orjson refuses NaN, Infinity and numbers past the float64 range,
         # which `json` reads.  Such a document takes the checks below, which
         # refuse it for its amplitudes or, with one amplitude, its dimension.
         try:
-            obj = json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+            obj = json.loads(data.decode("utf-8"))
         except ValueError:
             raise StateFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"n", "amplitudes"}:
@@ -437,9 +439,9 @@ def loads_state_vector(text: str | bytes) -> StateVector:
     # "[" and the first "]" after it only true, false and null put a "u" or
     # an "l"; NaN, Infinity and exponents hold neither.  The bound keeps out
     # an escaped key such as "\u006e".  Single-byte finds run at memchr speed.
-    lo = find("[")
-    hi = find("]", lo)
-    if not isinstance(amps, list) or find("u", lo, hi) >= 0 or find("l", lo, hi) >= 0:
+    lo = data.find(b"[")
+    hi = data.find(b"]", lo)
+    if not isinstance(amps, list) or data.find(b"u", lo, hi) >= 0 or data.find(b"l", lo, hi) >= 0:
         raise StateFormatError('"amplitudes" must be a list of numbers')
     if len(amps) != n:
         raise StateFormatError(f'"n" is {n} but {len(amps)} amplitudes were given')

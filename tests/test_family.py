@@ -298,6 +298,25 @@ def test_apply_matches_paper_reference(n):
             assert gap <= REFERENCE_TOL
 
 
+def bits(x) -> np.ndarray:
+    """The float64 bit patterns of ``x``, so that -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("n", (2, 3, 64, 2**20 + 3))
+def test_functionals_are_applys_own_arithmetic_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for vec in (random_unit(rng, n), basis(n, 0)):
+        for theta in (0.0, math.pi, float(rng.uniform(0, 2 * math.pi))):
+            for signs in SignChoice.enumerate():
+                spec = make_spec(n, theta, signs)
+                out = apply(spec, vec).amplitudes
+                shifted = signs.eps2 * (vec.amplitudes[1:] + c_functional(spec, vec))
+                assert np.array_equal(bits(out[1:]), bits(shifted))
+                eta = eta_functional(spec, vec)
+                assert bits(eta) == bits(signs.eps1 * out[0] - vec.amplitudes[0])
+
+
 @pytest.mark.parametrize("n", (2, 3, 7, 64))
 def test_sign_patterns_collapse_to_four_operators(n):
     rng = np.random.default_rng(n)

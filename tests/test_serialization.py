@@ -172,6 +172,38 @@ def test_loader_accepts_and_rejects_as_the_per_element_scan(text):
         assert np.array_equal(got.amplitudes, want.amplitudes)
 
 
+def outcome_bits(text):
+    """The loaded vector's dimension and bits, or the error's class and message."""
+    try:
+        vec = loads_state_vector(text)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return vec.n, vec.amplitudes.view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_documents())
+def test_str_and_its_utf8_bytes_load_alike(text):
+    assert outcome_bits(text) == outcome_bits(text.encode())
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": 2, "amplitudes": [1, 0], "\ud800": 1}',
+        '{"n\ud800": 2, "amplitudes": [1, 0]}',
+        '\ufeff{"n": 2, "amplitudes": [1, 0]}',
+        '\ufeff{"n": 2, "amplitudes": [1, 0]}'.encode(),
+        '{"n": 2, "amplitudes": [1, 0], "\xe9": 1}'.encode("latin-1"),
+        '{"\xe9": 2, "amplitudes": [1, 0]}'.encode("latin-1"),
+    ],
+    ids=["str-surrogate", "str-surrogate-key", "str-bom", "bytes-bom", "latin-1", "latin-1-key"],
+)
+def test_documents_that_are_not_utf8_json_are_refused(doc):
+    with pytest.raises(StateFormatError):
+        loads_state_vector(doc)
+
+
 @pytest.mark.parametrize("n", (1, 2))
 @pytest.mark.parametrize(
     "number", ("NaN", "-Infinity", "1e400", pytest.param("9" * 400, id="400-nines"))

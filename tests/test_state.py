@@ -87,6 +87,37 @@ def test_non_finite_rejected_even_unnormalized():
         StateVector.unnormalized(2, [float("inf"), 0.0])
 
 
+@pytest.mark.parametrize(
+    "amps, dtype",
+    [
+        (["0.6", "0.8"], "<U3"),
+        ([b"1", b"0"], "|S1"),
+        ([True, False], "bool"),
+        ([1j, 0], "complex128"),
+    ],
+    ids=["text", "bytes", "bool", "complex"],
+)
+def test_amplitudes_that_are_not_real_numbers_are_refused(amps, dtype):
+    for build in (StateVector, StateVector.unnormalized):
+        with pytest.raises(StateFormatError) as info:
+            build(2, amps)
+        assert str(info.value) == f"amplitudes must be real numbers, got dtype {dtype}"
+
+
+def test_real_number_inputs_keep_their_outcomes():
+    for amps in ([1, 0], np.array([1, 0], dtype=np.uint8), np.array([0.5, 0.75], np.float32)):
+        vec = StateVector.unnormalized(2, amps)
+        assert vec.amplitudes.dtype == np.float64
+        assert np.array_equal(vec.amplitudes, np.asarray(amps, dtype=np.float64))
+    # A bool among floats is read as 0 or 1, as numpy infers the whole list as float.
+    assert np.array_equal(StateVector.unnormalized(2, [True, 0.5]).amplitudes, [1.0, 0.5])
+    for build in (StateVector, StateVector.unnormalized):
+        with pytest.raises(StateFormatError, match="must all be finite"):
+            build(2, [None, 1.0])
+        with pytest.raises(StateFormatError, match="must fit in a float64"):
+            build(2, [10**400, 0])
+
+
 def test_overflowing_squares_are_finite_input_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
