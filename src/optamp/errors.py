@@ -6,7 +6,6 @@ __all__ = [
     "NormalizationError",
     "ParameterOutOfRange",
     "StateFormatError",
-    "SumZero",
 ]
 
 
@@ -28,8 +27,3 @@ class NormalizationError(ValueError):
 
 class StateFormatError(ValueError):
     """A state-vector document does not conform to the JSON schema."""
-
-
-class SumZero(ValueError):
-    """The sum over components 1..n-1 vanishes, so no mixing angle can
-    move weight into component 0."""

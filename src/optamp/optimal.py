@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParameterOutOfRange, SumZero
+from .errors import ParameterOutOfRange
 from .family import TWO_PI, AmplifierSpec, SignChoice, _block, apply, make_spec, reduce_angle
 from .state import StateVector, _dumps_json, _join_records, _probability_table
 
@@ -56,12 +56,13 @@ def optimal_theta(a: StateVector) -> float:
         -sin(theta) * a[0] + cos(theta) * sum(a[1:]) / sqrt(n - 1) == 0
 
     on the maximizing branch, i.e. atan2(sum(a[1:]), a[0] * sqrt(n - 1)),
-    returned in [0, 2*pi).  Raises :class:`SumZero` when sum(a[1:]) == 0:
-    no family member can then increase component 0 at all.
+    returned in [0, 2*pi).  Every finite input has one: the reachable
+    maximum is sqrt(a[0]**2 + S**2/(n-1)), so at S = sum(a[1:]) == 0 the
+    input is already optimal, and the angle is 0 for a[0] >= +0.0 (the
+    identity on component 0) or pi for a[0] < 0 or a[0] == -0.0 (its sign
+    flipped).
     """
     a0, tail_sum = a._reduced
-    if tail_sum == 0.0:
-        raise SumZero("sum of components 1..n-1 is zero; component 0 is already extremal")
     return reduce_angle(math.atan2(tail_sum, a0 * math.sqrt(a.n - 1)))
 
 

@@ -29,12 +29,18 @@ from .state import (
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """Dimension plus the single marked basis index."""
+    """Dimension plus the single marked basis index, both stored as ``int``;
+    a bool or a non-integer raises ParameterOutOfRange."""
 
     n: int
     marked: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "marked"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         _require_dimension(self.n)
         if not 0 <= self.marked < self.n:
             raise ParameterOutOfRange(f"marked index {self.marked} outside [0, {self.n})")

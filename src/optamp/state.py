@@ -236,13 +236,26 @@ def _probability_table(first, amp) -> np.ndarray:
         return np.column_stack([first, amp, amp * amp])
 
 
+# Element types an object array may hold: None reads as NaN and is then
+# refused as non-finite.  A bool is an int, and is refused before this test.
+_OBJECT_REALS = (int, float, np.integer, np.floating, type(None))
+
+
 def _float64_copy(amplitudes) -> np.ndarray:
     """A new float64 array of ``amplitudes``.  An input numpy reads as text,
     bytes, bools or complex values, or one past the float64 range, raises
-    StateFormatError; a bool among numbers is read as 0 or 1."""
+    StateFormatError; a bool among numbers is read as 0 or 1.  An object
+    array (a ``None``, an int past the int64 range) is checked element by
+    element, and a bool there is refused too."""
     arr = np.array(amplitudes)
     if arr.dtype.kind not in "iufO":
         raise StateFormatError(f"amplitudes must be real numbers, got dtype {arr.dtype}")
+    if arr.dtype.kind == "O":
+        for x in arr.flat:
+            if isinstance(x, bool) or not isinstance(x, _OBJECT_REALS):
+                raise StateFormatError(
+                    f"amplitudes must be real numbers, got an element of type {type(x).__name__}"
+                )
     try:
         return arr.astype(np.float64, copy=False)
     except OverflowError as exc:

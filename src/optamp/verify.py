@@ -114,12 +114,8 @@ def run_verification(seed: int, n: int) -> dict:
 
     worst_sweep = 0.0
     worst_grad = 0.0
-    probes = 0
-    while probes < 3:
+    for _ in range(3):
         vec = random_unit_vector(rng, n)
-        if vec._reduced[1] == 0.0:
-            continue
-        probes += 1
         _, report = amplify_optimal(vec)
         sweep_max = float(np.max(theta_sweep(vec, points=200)[:, 1]))
         worst_sweep = max(worst_sweep, sweep_max - report.post_amplitude0)

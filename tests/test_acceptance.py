@@ -100,8 +100,6 @@ def test_criterion_5_generic_optimal_closed_forms():
         for _ in range(200):
             vec = random_unit(rng, n)
             tail_sum = float(np.sum(vec.amplitudes[1:]))
-            if tail_sum == 0.0:
-                continue
             out, report = amplify_optimal(vec)
             expected0 = math.sqrt(vec.amplitudes[0] ** 2 + tail_sum**2 / (n - 1))
             worst_form = max(worst_form, abs(report.post_amplitude0 - expected0))

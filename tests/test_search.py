@@ -32,6 +32,28 @@ def test_problem_validation():
         SearchProblem(4, -1)
 
 
+@pytest.mark.parametrize(
+    "n, marked, message",
+    [
+        (4, True, "marked must be an integer, got True"),
+        (4, 2.0, "marked must be an integer, got 2.0"),
+        (4.0, 1, "n must be an integer, got 4.0"),
+        (True, 0, "n must be an integer, got True"),
+    ],
+    ids=["bool-marked", "float-marked", "float-n", "bool-n"],
+)
+def test_problem_refuses_bools_and_non_integers(n, marked, message):
+    with pytest.raises(ParameterOutOfRange) as info:
+        SearchProblem(n, marked)
+    assert str(info.value) == message
+
+
+def test_problem_stores_numpy_integers_as_int():
+    p = SearchProblem(np.int64(4), np.int64(2))
+    assert type(p.n) is int and type(p.marked) is int
+    assert json.loads(compare_with_grover(p).to_json())["marked"] == 2
+
+
 def test_predicate_marks_exactly_one_index():
     p = SearchProblem(6, 2)
     assert [i for i in range(6) if predicate(p, i)] == [2]

@@ -118,6 +118,30 @@ def test_real_number_inputs_keep_their_outcomes():
             build(2, [10**400, 0])
 
 
+@pytest.mark.parametrize(
+    "amps, kind",
+    [
+        (["0.6", 10**30], "str"),
+        ([True, 10**30], "bool"),
+        ([b"1", 10**30], "bytes"),
+        ([1j, None], "complex"),
+    ],
+    ids=["text", "bool", "bytes", "complex"],
+)
+def test_non_numbers_inside_an_object_array_are_refused(amps, kind):
+    # An int past the int64 range or a None makes numpy infer dtype object.
+    for build in (StateVector, StateVector.unnormalized):
+        with pytest.raises(StateFormatError) as info:
+            build(2, amps)
+        assert str(info.value) == f"amplitudes must be real numbers, got an element of type {kind}"
+
+
+def test_numbers_inside_an_object_array_are_accepted():
+    # `None` and `10**400` keep their outcomes: see test_real_number_inputs_keep_their_outcomes.
+    amps = [np.int64(1), np.float32(0.5), 2**70, 0.25]
+    assert np.array_equal(StateVector.unnormalized(4, amps).amplitudes, [1.0, 0.5, 2.0**70, 0.25])
+
+
 def test_overflowing_squares_are_finite_input_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
