@@ -6,6 +6,7 @@ import argparse
 import numpy as np
 
 from optamp import amplify_optimal, dumps_sweep_csv, optimal_theta, theta_sweep
+from optamp.optimal import SWEEP_POINTS
 from optamp.verify import random_unit_vector
 
 
@@ -13,7 +14,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=16)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--points", type=int, default=1000)
+    ap.add_argument("--points", type=int, default=SWEEP_POINTS)
     ap.add_argument("--output", default="theta_landscape.csv")
     args = ap.parse_args()
 

@@ -42,7 +42,14 @@ from itertools import product
 import numpy as np
 
 from .errors import DenseCapExceeded, ParameterOutOfRange
-from .state import StateVector, _fresh, _require_dimension, _require_same_dimension, _sum_by_leaves
+from .state import (
+    StateVector,
+    _fresh,
+    _integer,
+    _require_dimension,
+    _require_same_dimension,
+    _sum_by_leaves,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,9 +98,10 @@ class SignChoice:
 
     def __post_init__(self) -> None:
         for name in ("eps1", "eps2", "eps3", "eps4", "eps5"):
-            value = getattr(self, name)
+            value = _integer(name, getattr(self, name))
             if value not in (-1, 1):
                 raise ParameterOutOfRange(f"{name} must be -1 or +1, got {value!r}")
+            object.__setattr__(self, name, value)
 
     @property
     def effective(self) -> tuple[int, int]:
@@ -153,7 +161,7 @@ class AmplifierSpec:
     sin: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _require_dimension(self.n)
+        object.__setattr__(self, "n", _require_dimension(self.n))
         if not math.isfinite(self.theta):
             raise ParameterOutOfRange(f"theta must be finite, got {self.theta!r}")
         if abs(self.theta) >= _THETA_LIMIT:
@@ -161,7 +169,7 @@ class AmplifierSpec:
                 "|theta| must be below 2**24, past which its value mod 2*pi is off by "
                 f"over 1e-9 rad; got {self.theta!r}"
             )
-        object.__setattr__(self, "theta", reduce_angle(self.theta))
+        object.__setattr__(self, "theta", reduce_angle(float(self.theta)))
         object.__setattr__(self, "cos", float(np.cos(self.theta)))
         object.__setattr__(self, "sin", float(np.sin(self.theta)))
 
@@ -224,6 +232,7 @@ def make_spec_from_beta0(
     """
     if abs(beta0) > 1.0:
         raise ParameterOutOfRange(f"|beta0| must not exceed 1, got {beta0!r}")
+    beta0, sign_gamma0 = float(beta0), _integer("sign_gamma0", sign_gamma0)
     if sign_gamma0 not in (-1, 1):
         raise ParameterOutOfRange(f"sign_gamma0 must be -1 or +1, got {sign_gamma0!r}")
     sin = sign_gamma0 * math.sqrt((1.0 - beta0) * (1.0 + beta0))

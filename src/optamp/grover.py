@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange
 from .family import AmplifierSpec, SignChoice, _pair_block, _spec_from_pair, dense_matrix
-from .state import StateVector, _fresh_copy, _join_records, _probability_table
+from .state import StateVector, _fresh_copy, _integer, _join_records, _probability_table
 
 TRACE_HEADER = "step,amplitude0,probability0"
 
@@ -57,7 +57,7 @@ def grover_iterate(a: StateVector, steps: Optional[int] = None) -> np.ndarray:
     """
     if steps is None:
         steps = math.ceil(2.0 * math.sqrt(a.n))
-    if steps < 0:
+    if (steps := _integer("steps", steps)) < 0:
         raise ParameterOutOfRange(f"steps must be nonnegative, got {steps}")
     p, q, u, v = _pair_block(_grover_member(a.n))
     x, tail_sum = a._reduced

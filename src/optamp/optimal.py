@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange
 from .family import TWO_PI, AmplifierSpec, SignChoice, _block, apply, make_spec, reduce_angle
-from .state import StateVector, _dumps_json, _join_records, _probability_table
+from .state import StateVector, _dumps_json, _integer, _join_records, _probability_table
 
 SWEEP_HEADER = "theta,amplitude0,probability0"
 
@@ -109,7 +109,7 @@ def theta_sweep(a: StateVector, points: int = SWEEP_POINTS) -> np.ndarray:
     :func:`optamp.family.apply` at each grid angle to roundoff, not bit for
     bit.
     """
-    if points < 2:
+    if (points := _integer("points", points)) < 2:
         raise ParameterOutOfRange(f"points must be at least 2, got {points}")
     a0, tail_sum = a._reduced
     theta = TWO_PI * np.arange(points) / points

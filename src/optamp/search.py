@@ -22,6 +22,7 @@ from .state import (
     StateVector,
     _dumps_json,
     _fresh_copy,
+    _integer,
     _require_dimension,
     _require_same_dimension,
 )
@@ -36,12 +37,8 @@ class SearchProblem:
     marked: int
 
     def __post_init__(self) -> None:
-        for name in ("n", "marked"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        _require_dimension(self.n)
+        object.__setattr__(self, "n", _require_dimension(self.n))
+        object.__setattr__(self, "marked", _integer("marked", self.marked))
         if not 0 <= self.marked < self.n:
             raise ParameterOutOfRange(f"marked index {self.marked} outside [0, {self.n})")
 
@@ -98,7 +95,7 @@ def compare_with_grover(p: SearchProblem, max_steps: Optional[int] = None) -> Co
 
     Costs O(n + max_steps): the classic trace comes from :func:`grover_iterate`.
     """
-    if max_steps is not None and max_steps < 1:
+    if max_steps is not None and (max_steps := _integer("max_steps", max_steps)) < 1:
         raise ParameterOutOfRange(f"max_steps must be at least 1, got {max_steps}")
     _, amplitude = one_step_search(p)
     probs = grover_iterate(StateVector.uniform(p.n), max_steps)[:, 2]

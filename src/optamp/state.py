@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, NormalizationError, StateFormatError
+from .errors import DimensionError, NormalizationError, ParameterOutOfRange, StateFormatError
 
 NORM_TOL = 1e-9
 
@@ -215,10 +215,18 @@ def _write_text(path, text: str) -> None:
         handle.write(text)
 
 
-def _require_dimension(n: int) -> None:
-    """The rule every type here shares: a dimension is at least 2."""
-    if n < 2:
+def _integer(name: str, value) -> int:
+    """The rule every dimension, count, index and sign shares: an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_dimension(n) -> int:
+    """The rule every type here shares: a dimension is an integer of at least 2."""
+    if (n := _integer("n", n)) < 2:
         raise DimensionError(f"dimension must be at least 2, got {n}")
+    return n
 
 
 def _require_same_dimension(a: StateVector, n: int, owner: str) -> None:
@@ -296,7 +304,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        _require_dimension(self.n)
+        object.__setattr__(self, "n", _require_dimension(self.n))
         adopted = isinstance(self.amplitudes, _Adopted)
         if adopted:
             arr, pair = self.amplitudes.array, self.amplitudes.pair
@@ -304,30 +312,26 @@ class StateVector:
             arr, pair = _float64_copy(self.amplitudes), None
         if arr.ndim != 1 or arr.shape[0] != self.n:
             raise DimensionError(f"expected {self.n} amplitudes, got shape {arr.shape}")
-        # A pairwise sum with an inf or NaN term is inf or NaN, so a finite
-        # pair proves every entry finite.
+        arr.flags.writeable = False
+        object.__setattr__(self, "amplitudes", arr)
         if pair is not None and all(map(math.isfinite, pair)):
             object.__setattr__(self, "_reduced", pair)
         else:
             # A finite sum proves every entry finite.  Only a non-finite sum
             # needs the entrywise check, to tell a NaN or infinity from
             # finite squares that overflow, such as (1e200, 1e200).
-            sq = _sum_of_squares(arr)
+            sq = self._squares
             if not math.isfinite(sq) and not np.isfinite(arr).all():
                 raise StateFormatError("amplitudes must all be finite")
             if not adopted and abs(sq - 1.0) > NORM_TOL:
                 raise NormalizationError(
                     f"squared norm {sq!r} deviates from 1 by more than {NORM_TOL}"
                 )
-            object.__setattr__(self, "_squares", sq)
-        arr.flags.writeable = False
-        object.__setattr__(self, "amplitudes", arr)
 
     @classmethod
     def unnormalized(cls, n: int, amplitudes) -> StateVector:
         """Copy ``amplitudes``, then adopt the copy: no unit-norm check;
         length and finiteness still apply."""
-        _require_dimension(n)
         return cls._adopt(n, _float64_copy(amplitudes))
 
     @classmethod
@@ -364,7 +368,7 @@ class StateVector:
     @classmethod
     def uniform(cls, n: int) -> StateVector:
         """The equal-weight superposition (1, ..., 1)/sqrt(n)."""
-        _require_dimension(n)
+        n = _require_dimension(n)
         return cls._adopt(n, np.full(n, 1.0 / math.sqrt(n)))
 
     def _scaled(self) -> tuple[np.ndarray, float, int]:
@@ -378,8 +382,6 @@ class StateVector:
         if _SQUARES_MIN <= sq < math.inf:
             return a, sq, 0
         big = float(max(a.max(), -a.min()))
-        if big == 0.0:
-            return a, sq, 0
         e = math.frexp(big)[1]
         b = np.ldexp(a, -e)
         return b, _sum_of_squares(b), e

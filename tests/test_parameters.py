@@ -1,0 +1,125 @@
+"""The parameter rule: every dimension, count, index and sign is an integer
+that is not a bool, stored as ``int``; the angle and beta0 are stored as floats."""
+
+import math
+
+import numpy as np
+import pytest
+from reference import random_unit
+
+from optamp import (
+    DimensionError,
+    ParameterOutOfRange,
+    SearchProblem,
+    SignChoice,
+    StateVector,
+    compare_with_grover,
+    dumps_state_vector,
+    grover_iterate,
+    isometry_residual,
+    loads_state_vector,
+    make_spec,
+    make_spec_from_beta0,
+    theta_sweep,
+)
+
+PLUS = SignChoice.all_plus()
+PAIR = StateVector(2, [0.6, 0.8])
+
+# |cos**2 + sin**2 - 1| for a float64 pair: the two squares and their sum round
+# once each (2**-52 at most together), and cos and sin within an ulp each add
+# 2 * 2**-52 at most.  The worst of 2000 draws of either test reads 2**-52 on
+# one x86-64 host; a float32 pair reads about 1e-8.
+UNIT_PAIR_TOL = 3 * 2**-52
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StateVector(2.0, [0.6, 0.8]), "n must be an integer, got 2.0"),
+        (lambda: StateVector.uniform(2.0), "n must be an integer, got 2.0"),
+        (lambda: StateVector.unnormalized(True, [0.6, 0.8]), "n must be an integer, got True"),
+        (lambda: make_spec(2.5, 0.1, PLUS), "n must be an integer, got 2.5"),
+        (lambda: theta_sweep(PAIR, points=2.5), "points must be an integer, got 2.5"),
+        (lambda: grover_iterate(PAIR, 2.5), "steps must be an integer, got 2.5"),
+        (lambda: grover_iterate(PAIR, True), "steps must be an integer, got True"),
+        (
+            lambda: compare_with_grover(SearchProblem(4, 1), max_steps=2.5),
+            "max_steps must be an integer, got 2.5",
+        ),
+        (lambda: SignChoice(True, 1, 1, 1, 1), "eps1 must be an integer, got True"),
+        (lambda: SignChoice(1, 1, 1, 1, 1.0), "eps5 must be an integer, got 1.0"),
+        (
+            lambda: make_spec_from_beta0(4, 0.5, True, PLUS),
+            "sign_gamma0 must be an integer, got True",
+        ),
+    ],
+    ids=[
+        "state-n",
+        "uniform-n",
+        "unnormalized-n",
+        "spec-n",
+        "sweep-points",
+        "iterate-steps",
+        "iterate-bool-steps",
+        "compare-max-steps",
+        "bool-sign",
+        "float-sign",
+        "bool-sign-gamma0",
+    ],
+)
+def test_bools_and_non_integers_are_refused_by_name(call, message):
+    with pytest.raises(ParameterOutOfRange) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", (1, np.int64(1), 0, -3))
+def test_a_dimension_below_two_keeps_its_dimension_error(n):
+    with pytest.raises(DimensionError) as info:
+        StateVector.uniform(n)
+    assert str(info.value) == f"dimension must be at least 2, got {int(n)}"
+
+
+@pytest.mark.parametrize("integer", (np.int64, np.int32))
+def test_numpy_integers_are_stored_as_int(integer):
+    assert type(StateVector(integer(2), [0.6, 0.8]).n) is int
+    assert type(StateVector.uniform(integer(3)).n) is int
+    assert type(StateVector.unnormalized(integer(2), [3.0, 4.0]).n) is int
+    spec = make_spec(integer(4), 0.7, SignChoice(*np.array([1, -1, 1, 1, 1], dtype=integer)))
+    assert type(spec.n) is int
+    assert all(type(getattr(spec.signs, f"eps{i}")) is int for i in range(1, 6))
+    beta = make_spec_from_beta0(integer(4), 0.5, integer(-1), PLUS)
+    assert type(beta.n) is int and type(beta.sin) is float and beta.sin < 0.0
+    assert theta_sweep(PAIR, points=integer(4)).shape == (4, 2)
+    assert grover_iterate(PAIR, integer(3)).shape == (4, 3)
+    report = compare_with_grover(SearchProblem(integer(4), integer(1)), max_steps=integer(5))
+    assert report.n == 4 and report.grover_peak_step <= 5
+
+
+def test_a_numpy_dimension_round_trips_through_the_state_format():
+    vec = StateVector(np.int64(2), [0.6, 0.8])
+    text = dumps_state_vector(vec)
+    assert text.startswith('{"n": 2, ')
+    back = loads_state_vector(text)
+    assert back.n == 2 and type(back.n) is int
+    assert np.array_equal(back.amplitudes, vec.amplitudes)
+
+
+def test_a_float32_angle_is_stored_as_a_float():
+    for theta in np.random.default_rng(32).uniform(0.0, 2 * math.pi, 2000).astype(np.float32):
+        spec = make_spec(64, theta, PLUS)
+        assert type(spec.theta) is float and spec.theta == float(theta)
+        assert abs(spec.cos**2 + spec.sin**2 - 1.0) <= UNIT_PAIR_TOL
+
+
+def test_a_float32_beta0_is_stored_as_a_float():
+    vec = random_unit(np.random.default_rng(3), 64)
+    for beta0 in np.random.default_rng(33).uniform(-1.0, 1.0, 2000).astype(np.float32):
+        spec = make_spec_from_beta0(64, beta0, 1, PLUS)
+        assert type(spec.cos) is float and type(spec.sin) is float
+        assert abs(spec.cos**2 + spec.sin**2 - 1.0) <= UNIT_PAIR_TOL
+    same = make_spec_from_beta0(64, float(np.float32(0.3)), 1, PLUS)
+    spec = make_spec_from_beta0(64, np.float32(0.3), 1, PLUS)
+    assert (spec.theta, spec.cos, spec.sin) == (same.theta, same.cos, same.sin)
+    assert isometry_residual(spec, vec) == isometry_residual(same, vec)

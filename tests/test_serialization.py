@@ -443,6 +443,68 @@ def test_exact_ties_round_half_to_even():
     assert_same_text(written(values), wanted(values))
 
 
+def spread(values: range, count: int) -> list[int]:
+    """At most ``count`` members of ``values``, evenly spread, both ends included."""
+    if len(values) <= count:
+        return list(values)
+    return [values[i * (len(values) - 1) // (count - 1)] for i in range(count)]
+
+
+def decade_ties(k: int) -> list[float]:
+    """Exact ties ``odd * 2**(k - 17)`` in ``[10**k, 10**(k + 1))`` with ``odd < 2**53``,
+    both ends of each decade included: ``x * 10**(16 - k)`` is ``odd * 5**(16 - k) / 2``.
+    Below k = -8 there are none, since ``5**25 > 2 * 10**17``."""
+    five = 5 ** (16 - k)
+    odds = range(-(-2 * 10**16 // five) | 1, min(-(-2 * 10**17 // five), 2**53), 2)
+    return [math.ldexp(o, k - 17) for o in spread(odds, 25)]
+
+
+def near_ties(k: int) -> list[float]:
+    """Doubles ``m * 2**e`` in ``[10**k, 10**(k + 1))``, ``m`` in ``[2**52, 2**53)``,
+    whose ``x * 10**(16 - k)`` lies ``1 / (2 * 5**d)`` from a half-integer, d = k - 16:
+    ``m * 2**(e - d)`` is ``(5**d +- 1) / 2`` modulo ``5**d``.  From k = 30 to 38
+    that distance is inside the writer's ``2**-32`` window around a tie."""
+    d = k - 16
+    five = 5**d
+    values = []
+    for e in range((10**k).bit_length() - 54, (10 ** (k + 1)).bit_length() - 51):
+        lo = max(2**52, -(-(10**k) >> e))
+        hi = min(2**53, -(-(10 ** (k + 1)) >> e))
+        for target in ((five - 1) // 2, (five + 1) // 2):
+            residue = target * pow(2, d - e, five) % five
+            mantissas = range(lo + (residue - lo) % five, hi, five)
+            values += [math.ldexp(m, e) for m in spread(mantissas, 12)]
+    return values
+
+
+def test_exact_ties_in_every_decade_print_as_format_17g():
+    values = []
+    for k in range(-8, 16):
+        ties = decade_ties(k)
+        assert ties
+        for x in ties:
+            scaled = Fraction(x) * Fraction(10) ** (16 - k)
+            assert scaled.denominator == 2 and 10**16 < scaled < 10**17
+        values += ties
+    values += [-x for x in values]
+    assert_same_text(written(values), wanted(values))
+
+
+def test_near_ties_inside_the_guard_window_print_as_format_17g():
+    values = []
+    for k in range(30, 39):
+        ties = near_ties(k)
+        assert ties
+        for x in ties:
+            assert 10**k <= Fraction(x) < 10 ** (k + 1)
+            scaled = Fraction(x) / Fraction(10) ** (k - 16)
+            gap = abs(scaled - math.floor(scaled) - Fraction(1, 2))
+            assert gap == Fraction(1, 2 * 5 ** (k - 16)) < Fraction(2**-32)
+        values += ties
+    values += [-x for x in values]
+    assert_same_text(written(values), wanted(values))
+
+
 def test_powers_of_ten_and_their_neighbours():
     values = [float(f"1e{j}") for j in range(-323, 309)] + [10.0**j for j in range(-300, 300)]
     values += [math.nextafter(x, to) for x in values for to in (0.0, math.inf)]

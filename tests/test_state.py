@@ -170,6 +170,13 @@ def test_normalized_helper():
         StateVector.unnormalized(2, [0.0, 0.0]).normalized()
 
 
+def test_zero_vector_norm_is_zero():
+    vec = StateVector.unnormalized(3, [0.0, -0.0, 0.0])
+    assert vec.norm() == 0.0
+    with pytest.raises(NormalizationError, match="cannot normalize the zero vector"):
+        vec.normalized()
+
+
 @pytest.mark.parametrize("n", (7, _PARALLEL_MIN + 3))
 def test_one_sum_of_squares_per_vector(monkeypatch, n):
     calls = []
