@@ -13,8 +13,9 @@ which always satisfy (n - 1) * gamma0**2 + beta0**2 == 1, so the pair
 traces an ellipse as theta sweeps [0, 2*pi).  A member keeps (cos(theta),
 sin(theta)) beside theta, taken once from it or given exactly (the Grover
 member, `make_spec_from_beta0`); every coefficient is arithmetic on them.
-Exactly half of the 32 sign patterns make the operator a signed Householder
-reflection with a closed form axis; `reflection_form` extracts it.
+Every member is a signed Householder reflection with a closed form axis,
+preceded for half of the 32 sign patterns by a sign flip of component 0,
+as Grover's step is; `reflection_form` extracts the axis and the flip.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 __all__ = [
     "DENSE_CAP_DEFAULT",
     "AmplifierSpec",
-    "ConditionViolated",
     "ReflectionForm",
     "SignChoice",
     "apply",
@@ -111,7 +111,7 @@ class SignChoice:
 
     @property
     def admits_reflection(self) -> bool:
-        """True when the member can be written as eps2 * (1 - 2|u><u|)."""
+        """True when the member is eps2 * (1 - 2|u><u|), with no flip of component 0."""
         return self.effective[0] == self.eps2
 
     @classmethod
@@ -200,20 +200,12 @@ class AmplifierSpec:
 
 @dataclass(frozen=True)
 class ReflectionForm:
-    """Decomposition U = overall_sign * (1 - 2|u><u|) with a unit axis u."""
+    """Decomposition U = overall_sign * (1 - 2|u><u|) @ Z0 with a unit axis u, Z0
+    negating component 0 if ``flips_component0``: flip, then reflect, as Grover's D @ Z."""
 
     overall_sign: int
     u: StateVector
-
-
-@dataclass(frozen=True)
-class ConditionViolated:
-    """Returned when a sign pattern admits no reflection decomposition.
-
-    A normal outcome, not an error: it certifies eps2 != eps1*eps4*eps3.
-    """
-
-    signs: SignChoice
+    flips_component0: bool
 
 
 def make_spec(n: int, theta: float, signs: SignChoice) -> AmplifierSpec:
@@ -336,22 +328,22 @@ def dense_matrix(spec: AmplifierSpec) -> np.ndarray:
     return m
 
 
-def reflection_form(spec: AmplifierSpec) -> ReflectionForm | ConditionViolated:
-    """Extract the reflection axis, when the sign pattern admits one.
+def reflection_form(spec: AmplifierSpec) -> ReflectionForm:
+    """The member as U = eps2 * (1 - 2|u><u|) @ Z0: a sign flip plus a reflection.
 
-    The decomposition U = eps2 * (1 - 2|u><u|) exists exactly when
-    eps2 == eps1*eps4*eps3; the axis is then
+    Z0 flips component 0 exactly when s0 = eps1*eps3*eps4 differs from eps2;
+    the axis is
 
-        u = (-sin(theta/2), cos(theta/2)/sqrt(n-1), ..., cos(theta/2)/sqrt(n-1)),
+        u = (-s0*eps2*sin(theta/2), cos(theta/2)/sqrt(n-1), ..., cos(theta/2)/sqrt(n-1)),
 
-    a unit vector whose last n-1 components are all equal.
+    a unit vector whose last n-1 components are all equal.  For the Grover
+    member it is the uniform vector, and the form is Grover's D @ Z.
     """
-    if not spec.signs.admits_reflection:
-        return ConditionViolated(spec.signs)
+    s0, eps2 = spec.signs.effective
     half = 0.5 * spec.theta
     axis = np.full(spec.n, math.cos(half) / math.sqrt(spec.n - 1))
-    axis[0] = -math.sin(half)
-    return ReflectionForm(spec.signs.eps2, StateVector._adopt(spec.n, axis))
+    axis[0] = -s0 * eps2 * math.sin(half)
+    return ReflectionForm(eps2, StateVector._adopt(spec.n, axis), s0 != eps2)
 
 
 def isometry_residual(spec: AmplifierSpec, a: StateVector) -> float:

@@ -13,7 +13,7 @@ is the dense form of `optamp.relabel_apply`.
 The writers format one value per call with ``format(x, ".17g")``; the
 library's chunked writers must give the same bytes.  `reference_loads_state_vector`
 validates a state document element by element with ``isinstance``; the
-library's single type scan must accept and reject the same documents.
+library's byte scans must accept and reject the same documents.
 
 The classic step's two factors, `flip_operator_apply` and `diffusion_apply`,
 are `optamp.grover_apply` written as two operators; the one-array step must
@@ -21,8 +21,11 @@ match their composition bit for bit.  `GroverOperator` writes the same step
 as dense matrices, the diffusion `D` and the iteration `D @ Z`; the
 library's in-place step applied to the identity must equal `matrix()` value
 for value.  `random_unit` is the test suite's one seeded unit-vector
-generator.  `assert_same_text` is ``assert got == want`` for whole documents,
-failing in linear time with the first differing line.  `PUBLIC_MODULES`,
+generator.  `reflection_matrix` rebuilds a member from its
+`optamp.ReflectionForm`, the paper's sign flip plus a reflection, for
+comparison with `optamp.dense_matrix`.  `assert_same_text` is
+``assert got == want`` for whole documents, failing in linear time with
+the first differing line.  `PUBLIC_MODULES`,
 `basis`, `format_signs`, `flip_matrix`, `projector`, `is_absolute_optimal`,
 `predicate`, `from_predicate`, `write_trace_csv` and `src_env` are helpers
 only the tests use.
@@ -145,6 +148,15 @@ class GroverOperator:
         m = self.diffusion_matrix()
         m[:, 0] = -m[:, 0]
         return m
+
+
+def reflection_matrix(form) -> np.ndarray:
+    """overall_sign * (1 - 2|u><u|) @ Z0: column 0 negated when the form flips it."""
+    axis = form.u.amplitudes
+    m = form.overall_sign * (np.eye(axis.size) - 2.0 * np.outer(axis, axis))
+    if form.flips_component0:
+        m[:, 0] = -m[:, 0]
+    return m
 
 
 def flip_matrix(n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """CLI surface: commands, artifact files, exit codes, determinism."""
 
+import dataclasses
 import gc
 import io
 import json
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optamp import (
+    SignChoice,
     StateFormatError,
     StateVector,
     load_state_vector,
@@ -534,6 +536,29 @@ def test_verify_failure_exits_1(tmp_path, monkeypatch):
         "run_verification",
         lambda seed, n: {"seed": seed, "n": n, "checks": [], "passed": False},
     )
+    out = tmp_path / "v.json"
+    assert main(["verify", "--seed", "0", "--n", "8", "--output", str(out)]) == 1
+    assert json.loads(out.read_text(encoding="utf-8"))["passed"] is False
+
+
+def test_verify_fails_on_a_wrong_flip_flag(tmp_path, monkeypatch):
+    import optamp.verify as verify_module
+
+    honest = verify_module.reflection_form
+
+    def wrong_for_grover(spec):
+        form = honest(spec)
+        if spec.signs == SignChoice.grover():
+            return dataclasses.replace(form, flips_component0=not form.flips_component0)
+        return form
+
+    monkeypatch.setattr(verify_module, "reflection_form", wrong_for_grover)
+    summary = verify_module.run_verification(0, 8)
+    failed = [check for check in summary["checks"] if not check["passed"]]
+    assert [(check["name"], check["worst"]) for check in failed] == [
+        ("reflection_condition_detected", 1.0)
+    ]
+    assert summary["passed"] is False
     out = tmp_path / "v.json"
     assert main(["verify", "--seed", "0", "--n", "8", "--output", str(out)]) == 1
     assert json.loads(out.read_text(encoding="utf-8"))["passed"] is False

@@ -5,10 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference import GroverOperator, apply_reference, basis, format_signs, random_unit
+from reference import (
+    GroverOperator,
+    apply_reference,
+    basis,
+    format_signs,
+    random_unit,
+    reflection_matrix,
+)
 
 from optamp import (
-    ConditionViolated,
     DenseCapExceeded,
     DimensionError,
     ParameterOutOfRange,
@@ -20,6 +26,7 @@ from optamp import (
     dense_matrix,
     eta_functional,
     family,
+    grover,
     isometry_residual,
     make_spec,
     make_spec_from_beta0,
@@ -368,10 +375,17 @@ def test_dense_cap_enforced(monkeypatch):
 # reflection_form
 # ---------------------------------------------------------------------------
 
-def test_reflection_form_rejected_for_grover_signs():
-    outcome = reflection_form(make_spec(4, 1.0, GROVER))
-    assert isinstance(outcome, ConditionViolated)
-    assert outcome.signs == GROVER
+def test_grover_member_is_a_sign_flip_plus_the_reflection_about_uniform():
+    """The paper's reading of Grover's step, D @ Z = -(1 - 2|v><v|) @ Z0 with v
+    the uniform vector: the Grover member's axis is v within 3 ulps."""
+    for n in [*range(2, 3000), 65536]:
+        form = reflection_form(grover._grover_member(n))
+        assert form.flips_component0 and form.overall_sign == -1
+        uniform = 1.0 / math.sqrt(n)
+        assert np.max(np.abs(form.u.amplitudes - uniform)) <= 3 * math.ulp(uniform), n
+        if n <= 256:
+            gap = np.max(np.abs(reflection_matrix(form) - GroverOperator(n).matrix()))
+            assert gap <= 1e-12, n
 
 
 def test_reflection_form_at_theta_pi_is_flip_axis():
@@ -402,10 +416,8 @@ def test_reflection_axis_properties():
 def test_reflection_condition_split_over_all_signs():
     for signs in SignChoice.enumerate():
         outcome = reflection_form(make_spec(6, 0.9, signs))
-        if signs.admits_reflection:
-            assert isinstance(outcome, ReflectionForm)
-        else:
-            assert isinstance(outcome, ConditionViolated)
+        assert isinstance(outcome, ReflectionForm)
+        assert outcome.flips_component0 == (not signs.admits_reflection)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from optamp import (
     make_spec_from_beta0,
     theta_sweep,
 )
+from optamp.verify import random_unit_vector
 
 PLUS = SignChoice.all_plus()
 PAIR = StateVector(2, [0.6, 0.8])
@@ -79,6 +80,21 @@ def test_a_dimension_below_two_keeps_its_dimension_error(n):
     with pytest.raises(DimensionError) as info:
         StateVector.uniform(n)
     assert str(info.value) == f"dimension must be at least 2, got {int(n)}"
+
+
+@pytest.mark.parametrize(
+    "n, error, message",
+    [
+        (2.0, ParameterOutOfRange, "n must be an integer, got 2.0"),
+        (True, ParameterOutOfRange, "n must be an integer, got True"),
+        (-1, DimensionError, "dimension must be at least 2, got -1"),
+    ],
+    ids=["float", "bool", "negative"],
+)
+def test_random_unit_vector_takes_the_dimension_rule(n, error, message):
+    with pytest.raises(error) as info:
+        random_unit_vector(np.random.default_rng(0), n)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("integer", (np.int64, np.int32))

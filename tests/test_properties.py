@@ -6,11 +6,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from reference import diffusion_apply, flip_operator_apply
+from reference import diffusion_apply, flip_operator_apply, reflection_matrix
 
 from optamp import (
-    ConditionViolated,
-    ReflectionForm,
     SignChoice,
     StateVector,
     apply,
@@ -93,19 +91,16 @@ def test_apply_is_linear(pair, alpha, beta):
     assert np.max(np.abs(left - right)) <= 1e-12
 
 
-@given(dimensions, thetas, sign_choices)
+@given(dimensions, thetas)
 @settings(max_examples=75)
-def test_reflection_exists_exactly_when_condition_holds(n, theta, signs):
-    spec = make_spec(n, theta, signs)
-    outcome = reflection_form(spec)
-    if signs.admits_reflection:
-        assert isinstance(outcome, ReflectionForm)
+def test_reflection_exists_exactly_when_condition_holds(n, theta):
+    for signs in SignChoice.enumerate():
+        spec = make_spec(n, theta, signs)
+        outcome = reflection_form(spec)
+        assert outcome.flips_component0 == (not signs.admits_reflection)
         axis = outcome.u.amplitudes
         assert abs(float(axis @ axis) - 1.0) <= 1e-12
-        rebuilt = outcome.overall_sign * (np.eye(n) - 2.0 * np.outer(axis, axis))
-        assert np.max(np.abs(dense_matrix(spec) - rebuilt)) <= 1e-12
-    else:
-        assert isinstance(outcome, ConditionViolated)
+        assert np.max(np.abs(dense_matrix(spec) - reflection_matrix(outcome))) <= 1e-12
 
 
 @given(dimensions, thetas, sign_choices)
@@ -155,6 +150,6 @@ def test_all_32_sign_patterns_are_unitary_and_exactly_16_reflect():
     for signs in SignChoice.enumerate():
         spec = make_spec(10, 1.1, signs)
         assert isometry_residual(spec, vec) <= 1e-10
-        if isinstance(reflection_form(spec), ReflectionForm):
+        if not reflection_form(spec).flips_component0:
             admitted += 1
     assert admitted == 16

@@ -13,6 +13,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Deleted, or moved to tests/reference.py because only tests called them.
 NOT_PUBLIC = (
+    "ConditionViolated",
+    "SumZero",
     "flip_operator_apply",
     "diffusion_apply",
     "is_absolute_optimal",
