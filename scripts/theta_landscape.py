@@ -5,7 +5,7 @@ import argparse
 
 import numpy as np
 
-from optamp import amplify_optimal, dumps_sweep_csv, optimal_theta, theta_sweep
+from optamp import amplify_optimal, dumps_sweep_csv, theta_sweep
 from optamp.optimal import SWEEP_POINTS
 from optamp.verify import random_unit_vector
 
@@ -24,11 +24,10 @@ def main() -> None:
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(dumps_sweep_csv(rows))
 
-    theta_star = optimal_theta(vec)
     _, report = amplify_optimal(vec)
     sweep_best = rows[np.argmax(rows[:, 1])]
     print(f"wrote {args.output} ({args.points} points)")
-    print(f"optimal theta = {theta_star:.12f}  amplitude = {report.post_amplitude0:.12f}")
+    print(f"optimal theta = {report.theta_star:.12f}  amplitude = {report.post_amplitude0:.12f}")
     print(f"sweep best    = {sweep_best[0]:.12f}  amplitude = {sweep_best[1]:.12f}")
     print(f"pre amplitude |a0| = {abs(report.pre_amplitude0):.12f}  absolute = {report.absolute}")
 

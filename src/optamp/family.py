@@ -12,7 +12,8 @@ coordinates describe it completely:
 which always satisfy (n - 1) * gamma0**2 + beta0**2 == 1, so the pair
 traces an ellipse as theta sweeps [0, 2*pi).  A member keeps (cos(theta),
 sin(theta)) beside theta, taken once from it or given exactly (the Grover
-member, `make_spec_from_beta0`); every coefficient is arithmetic on them.
+member, `make_spec_from_beta0`); every coefficient is arithmetic on them
+but `reflection_form`'s half angle, from the rounded theta (ROADMAP item 2).
 Every member is a signed Householder reflection with a closed form axis,
 preceded for half of the 32 sign patterns by a sign flip of component 0,
 as Grover's step is; `reflection_form` extracts the axis and the flip.
@@ -338,6 +339,9 @@ def reflection_form(spec: AmplifierSpec) -> ReflectionForm:
 
     a unit vector whose last n-1 components are all equal.  For the Grover
     member it is the uniform vector, and the form is Grover's D @ Z.
+
+    The half angle, ``0.5 * spec.theta``, is the one coefficient taken from
+    the rounded theta, not the stored pair; ROADMAP item 2 owns the fix.
     """
     s0, eps2 = spec.signs.effective
     half = 0.5 * spec.theta

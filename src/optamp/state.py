@@ -438,13 +438,7 @@ def loads_state_vector(text: str | bytes) -> StateVector:
     try:
         obj = orjson.loads(data)
     except orjson.JSONDecodeError as exc:
-        # orjson refuses NaN, Infinity and numbers past the float64 range,
-        # which `json` reads.  Such a document takes the checks below, which
-        # refuse it for its amplitudes or, with one amplitude, its dimension.
-        try:
-            obj = json.loads(data.decode("utf-8"))
-        except ValueError:
-            raise StateFormatError(f"not valid JSON: {exc}") from exc
+        raise StateFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"n", "amplitudes"}:
         raise StateFormatError('expected an object with exactly "n" and "amplitudes"')
     n, amps = obj["n"], obj["amplitudes"]
@@ -452,8 +446,8 @@ def loads_state_vector(text: str | bytes) -> StateVector:
         raise StateFormatError('"n" must be an integer')
     # The guard leaves the list no string and no nest, so between its one
     # "[" and the first "]" after it only true, false and null put a "u" or
-    # an "l"; NaN, Infinity and exponents hold neither.  The bound keeps out
-    # an escaped key such as "\u006e".  Single-byte finds run at memchr speed.
+    # an "l"; no JSON number holds either.  The bound keeps out an escaped
+    # key such as "\u006e".  Single-byte finds run at memchr speed.
     lo = data.find(b"[")
     hi = data.find(b"]", lo)
     if not isinstance(amps, list) or data.find(b"u", lo, hi) >= 0 or data.find(b"l", lo, hi) >= 0:

@@ -12,8 +12,10 @@ is the dense form of `optamp.relabel_apply`.
 
 The writers format one value per call with ``format(x, ".17g")``; the
 library's chunked writers must give the same bytes.  `reference_loads_state_vector`
-validates a state document element by element with ``isinstance``; the
-library's byte scans must accept and reject the same documents.
+reads a state document with ``json`` held to the format's grammar, finite
+float64 numbers only, and validates it element by element with
+``isinstance``; the library's one orjson parse and byte scans must accept
+and reject the same documents.
 
 The classic step's two factors, `flip_operator_apply` and `diffusion_apply`,
 are `optamp.grover_apply` written as two operators; the one-array step must
@@ -32,6 +34,7 @@ only the tests use.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -263,10 +266,26 @@ def assert_same_text(got: str, want: str) -> None:
     )
 
 
+def _finite_float(text: str) -> float:
+    x = float(text)  # inf past the float64 range, where float() does not raise
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite float64")
+    return x
+
+
+def _finite_int(text: str) -> int:
+    _finite_float(text)
+    return int(text)
+
+
 def reference_loads_state_vector(text: str) -> StateVector:
+    """The state format read by its grammar: RFC 8259 JSON whose numbers are
+    finite float64 values, so NaN, Infinity and 1e400 are not valid JSON."""
     try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        obj = json.loads(
+            text, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_finite_int
+        )
+    except (ValueError, RecursionError) as exc:
         raise StateFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"n", "amplitudes"}:
         raise StateFormatError('expected an object with exactly "n" and "amplitudes"')
