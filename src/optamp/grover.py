@@ -80,7 +80,6 @@ def corollary_equivalence_check(n: int) -> float:
 def dumps_trace_csv(rows: np.ndarray) -> str:
     """The CSV of a :func:`grover_iterate` table, or of any ``[step, amplitude0,
     probability0]`` rows."""
-    # A step count below 2**53 is exact in a float64, and %.17g prints an
-    # integer below 10**17 as %d does.
+    # A step count below 2**53 is exact in a float64, written as one: 0.0, 1.0, ...
     table = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
-    return _join_records("\n", table, TRACE_HEADER + "\n", "\n")
+    return _join_records(TRACE_HEADER, table)

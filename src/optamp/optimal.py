@@ -120,4 +120,4 @@ def theta_sweep(a: StateVector, points: int = SWEEP_POINTS) -> np.ndarray:
 def dumps_sweep_csv(rows: np.ndarray) -> str:
     """The CSV of a :func:`theta_sweep` table, or of any ``[theta, amplitude0]`` rows."""
     theta, amp = np.asarray(rows, dtype=np.float64).reshape(-1, 2).T
-    return _join_records("\n", _probability_table(theta, amp), SWEEP_HEADER + "\n", "\n")
+    return _join_records(SWEEP_HEADER, _probability_table(theta, amp))

@@ -25,10 +25,6 @@ from .errors import DimensionError, NormalizationError, ParameterOutOfRange, Sta
 
 NORM_TOL = 1e-9
 
-# Values `_join_records` formats per `_text.format_rows` call: 16 Ki float64
-# give a 512 KiB word array, a fixed amount of memory beside the text.
-_CHUNK = 2**14
-
 # From this many elements up, `_sum_by_halves` runs an O(n) pass on two threads.
 _PARALLEL_MIN = 2**20
 
@@ -179,30 +175,33 @@ def _fresh_copy(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _join_records(sep: str, table: np.ndarray, head: str = "", end: str = "") -> str:
-    """One document in one join: ``head``, then each row of ``table`` as its
-    values joined by ``,``, the rows joined by ``sep`` (at most three
-    characters), then ``end`` after the last row; for an empty ``table``,
-    ``head`` alone.  A 1-D ``table`` has one value per row.
+def _join_records(header: str, table: np.ndarray) -> str:
+    """One CSV document: the ``header`` line, then each row of the 2-D
+    float64 ``table`` as its values joined by ``,``; every line ends in a
+    newline.
 
-    Every value is written as ``'%.17g' % x``, byte for byte, which is
-    ``format(x, ".17g")``: 17 significant digits round-trip any double
-    exactly.  About ``_CHUNK`` values at a time go through one exact
-    vectorized pass (see ``_text``), so only one chunk's words and the
-    text itself are alive at once.
+    Every value is spelled as orjson spells a float64: the shortest digits
+    that read back to the same bits, which are the digits of ``repr(x)``, as
+    in ``0.1``, ``1e16`` and ``7.629394531249998e-6``.  The table is one
+    orjson array after the header: its brackets and every ``w``-th comma,
+    for ``w`` columns, become newlines.  orjson writes ``null`` for NaN and
+    infinities, so a table holding one is written value by value with
+    ``repr`` (``nan``, ``inf``, ``-inf``).
     """
     # Loaded on first use: a process that writes no text never loads it.
-    from ._text import format_rows
+    import orjson
 
-    if len(table) == 0:
-        return head
-    rows = table.reshape(len(table), -1)
-    step = max(1, _CHUNK // rows.shape[1])
-    chunks = [
-        format_rows(rows[i : i + step], sep).decode("ascii") for i in range(0, len(rows), step)
-    ]
-    chunks[-1] = chunks[-1][: -len(sep)]
-    return "".join([head, *chunks, end])
+    rows = np.ascontiguousarray(table)
+    if len(rows) == 0 or not np.isfinite(rows).all():
+        lines = [header, *(",".join(map(repr, row)) for row in rows.tolist())]
+        return "".join(f"{line}\n" for line in lines)
+    buf = bytearray(header, "ascii")
+    buf += orjson.dumps(rows.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+    chars = np.frombuffer(buf, dtype=np.uint8)[len(header) :]  # the array, "[...]"
+    width = rows.shape[1]
+    chars[np.flatnonzero(chars == ord(","))[width - 1 :: width]] = ord("\n")
+    chars[0] = chars[-1] = ord("\n")
+    return str(buf, "ascii")
 
 
 def _dumps_json(obj) -> str:
@@ -410,9 +409,14 @@ class StateVector:
 
 
 def dumps_state_vector(state: StateVector) -> str:
-    """Serialize to the shared JSON format, each amplitude as ``'%.17g' % x``
-    (17 significant digits, so loading it back gives the same bits)."""
-    return _join_records(", ", state.amplitudes, f'{{"n": {state.n}, "amplitudes": [', "]}\n")
+    """Serialize to the shared JSON format: the amplitudes as one orjson
+    array, ``,`` between values, each in the shortest digits that read back
+    to the same bits (see :func:`_join_records`).  Every amplitude is finite."""
+    # Loaded on first use: a process that writes no state file never loads it.
+    import orjson
+
+    body = str(orjson.dumps(state.amplitudes, option=orjson.OPT_SERIALIZE_NUMPY), "ascii")
+    return "".join([f'{{"n": {state.n}, "amplitudes": ', body, "}\n"])
 
 
 def loads_state_vector(text: str | bytes) -> StateVector:

@@ -99,11 +99,13 @@ def run_verification(seed: int, n: int) -> dict:
         form = reflection_form(spec)
         if form.flips_component0 == signs.admits_reflection:
             condition_violations_detected = False
-        elif signs.admits_reflection:
-            axis = form.u.amplitudes
-            rebuilt = form.overall_sign * (eye - 2.0 * np.outer(axis, axis))
-            dense = dense_matrix(spec)
-            worst_refl = max(worst_refl, float(np.max(np.abs(dense - rebuilt))))
+        axis = form.u.amplitudes
+        rebuilt = form.overall_sign * (eye - 2.0 * np.outer(axis, axis))
+        if form.flips_component0:  # (1 - 2|u><u|) @ Z0: column 0 negated
+            rebuilt[:, 0] = -rebuilt[:, 0]
+        dense = dense_matrix(spec)
+        worst_refl = max(worst_refl, float(np.max(np.abs(dense - rebuilt))))
+        if signs.admits_reflection:  # one of the 16 reflections, so an involution
             worst_invol = max(worst_invol, float(np.max(np.abs(dense @ dense - eye))))
     record("reflection_reconstruction", worst_refl, 1e-12)
     record("reflection_involution", worst_invol, 1e-10)

@@ -10,8 +10,13 @@ O(points * n) and O(steps * n); `theta_sweep` and `grover_iterate` must
 agree with them within ``optamp.verify.FAST_PATH_TOL``.  `relabel_matrix`
 is the dense form of `optamp.relabel_apply`.
 
-The writers format one value per call with ``format(x, ".17g")``; the
-library's chunked writers must give the same bytes.  `reference_loads_state_vector`
+The reference writers spell one value per call with ``repr``; the library's writers
+spell each value as orjson does, which may differ from ``repr`` in notation
+(``1e16`` for ``1e+16``, ``0.00001`` for ``1e-05``) but not in digits, so
+`assert_same_numbers` compares two documents with every number token
+replaced by `decimal_digits`, its sign, significant digits and exponent.
+`format_17g` is the spelling of state files written before the writers
+moved to shortest digits, which must still load.  `reference_loads_state_vector`
 reads a state document with ``json`` held to the format's grammar, finite
 float64 numbers only, and validates it element by element with
 ``isinstance``; the library's one orjson parse and byte scans must accept
@@ -36,7 +41,9 @@ only the tests use.
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
@@ -225,27 +232,59 @@ def reference_grover_iterate(a: StateVector, steps: int):
     return rows
 
 
-def format_float(x: float) -> str:
+def repr_float(x) -> str:
+    return repr(float(x))
+
+
+def format_17g(x) -> str:
     return format(float(x), ".17g")
 
 
-def reference_dumps_state_vector(state: StateVector) -> str:
-    body = ", ".join(format_float(x) for x in state.amplitudes)
+def reference_dumps_state_vector(state: StateVector, spell=repr_float, sep: str = ",") -> str:
+    """The state document with each amplitude spelled by ``spell`` and the
+    amplitudes separated by ``sep``; ``(format_17g, ", ")`` gives the format
+    written before shortest digits."""
+    body = sep.join(map(spell, state.amplitudes.tolist()))
     return f'{{"n": {state.n}, "amplitudes": [{body}]}}\n'
 
 
 def reference_dumps_sweep_csv(rows) -> str:
     lines = [SWEEP_HEADER]
     for theta, amp in rows:
-        lines.append(f"{format_float(theta)},{format_float(amp)},{format_float(amp * amp)}")
+        amp = float(amp)
+        lines.append(",".join(map(repr_float, (theta, amp, amp * amp))))
     return "\n".join(lines) + "\n"
 
 
 def reference_dumps_trace_csv(rows) -> str:
     lines = [TRACE_HEADER]
-    for step, amp, prob in rows:
-        lines.append(f"{step},{format_float(amp)},{format_float(prob)}")
+    for row in rows:
+        lines.append(",".join(map(repr_float, row)))
     return "\n".join(lines) + "\n"
+
+
+def decimal_digits(token: str) -> str:
+    """The number a decimal token spells, as its sign, its significant digits
+    without leading or trailing zeros, and its exponent: one text for
+    ``1e16``, ``1e+16`` and ``10000000000000000.0``, and another for each
+    other number; ``-0.0`` keeps its sign."""
+    return str(Decimal(token).normalize())
+
+
+# A number token of the writers' documents: JSON's grammar, plus `repr`'s
+# nan, inf and -inf.
+NUMBER = re.compile(r"-?(?:nan|inf|\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
+
+
+def assert_same_numbers(got: str, want: str) -> None:
+    """`assert_same_text` of the two documents with every number token
+    replaced by its `decimal_digits`: the same layout, and the same digits
+    and exponent in every token, however each is spelled."""
+
+    def canonical(text: str) -> str:
+        return NUMBER.sub(lambda match: decimal_digits(match.group()), text)
+
+    assert_same_text(canonical(got), canonical(want))
 
 
 def assert_same_text(got: str, want: str) -> None:

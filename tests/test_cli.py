@@ -446,7 +446,7 @@ def test_grover_trace_csv(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "step,amplitude0,probability0"
     assert len(lines) == 7
-    assert lines[1].startswith("0,0.25,")
+    assert lines[1].startswith("0.0,0.25,")
 
 
 def test_grover_default_step_cap(tmp_path):
@@ -554,11 +554,36 @@ def test_verify_fails_on_a_wrong_flip_flag(tmp_path, monkeypatch):
 
     monkeypatch.setattr(verify_module, "reflection_form", wrong_for_grover)
     summary = verify_module.run_verification(0, 8)
-    failed = [check for check in summary["checks"] if not check["passed"]]
-    assert [(check["name"], check["worst"]) for check in failed] == [
-        ("reflection_condition_detected", 1.0)
-    ]
+    failed = {check["name"]: check["worst"] for check in summary["checks"] if not check["passed"]}
+    # The form without its flip no longer rebuilds the member, either.
+    assert failed.keys() == {"reflection_reconstruction", "reflection_condition_detected"}
+    assert failed["reflection_reconstruction"] > 0.1
+    assert failed["reflection_condition_detected"] == 1.0
     assert summary["passed"] is False
+    out = tmp_path / "v.json"
+    assert main(["verify", "--seed", "0", "--n", "8", "--output", str(out)]) == 1
+    assert json.loads(out.read_text(encoding="utf-8"))["passed"] is False
+
+
+def test_verify_fails_on_a_wrong_axis_of_a_flipped_form(tmp_path, monkeypatch):
+    import optamp.verify as verify_module
+
+    honest = verify_module.reflection_form
+
+    def wrong_flipped_axis(spec):
+        # Component 0 of the axis, -s0*eps2*sin(theta/2), with its sign
+        # negated on the 16 forms that flip component 0 only.
+        form = honest(spec)
+        if not form.flips_component0:
+            return form
+        axis = np.array(form.u.amplitudes)
+        axis[0] = -axis[0]
+        return dataclasses.replace(form, u=StateVector(spec.n, axis))
+
+    monkeypatch.setattr(verify_module, "reflection_form", wrong_flipped_axis)
+    summary = verify_module.run_verification(0, 8)
+    failed = [check["name"] for check in summary["checks"] if not check["passed"]]
+    assert failed == ["reflection_reconstruction"]
     out = tmp_path / "v.json"
     assert main(["verify", "--seed", "0", "--n", "8", "--output", str(out)]) == 1
     assert json.loads(out.read_text(encoding="utf-8"))["passed"] is False

@@ -10,9 +10,12 @@ regenerates the file and lists the changed digests.
 A case tagged "ieee" uses only + - * / and sqrt, which IEEE 754 rounds the
 same way on every host.  A case tagged "libm" also goes through np.cos,
 np.sin or math.atan2, whose last bits may differ between hosts, or reads the
-input file, whose values come from numpy's normal stream.  `golden.json`
-keeps a fingerprint of all of these; on a host whose fingerprint differs,
-the "libm" cases skip with a reason that names the mismatch.
+input file, whose values come from numpy's normal stream.  A case tagged
+"text" writes a state file or a CSV, whose floats orjson spells; another
+orjson version may spell the same digits differently, as ``1e16`` or
+``1e+16``.  `golden.json` keeps a fingerprint of all of these; on a host
+whose fingerprint differs, the cases that depend on it skip with a reason
+that names the mismatch.
 
 Regenerate the digests, and only then, with
 
@@ -32,7 +35,7 @@ import numpy as np
 import pytest
 from reference import random_unit
 
-from optamp import save_state_vector
+from optamp import StateVector, dumps_state_vector, save_state_vector
 from optamp.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -45,10 +48,10 @@ INPUT_N = 1000
 IN, OUT = "{input}", "{output}"
 
 CASES = {
-    "sweep-file-777": ("libm", ["sweep", "--input", IN, "--points", "777"]),
-    "sweep-file-2000": ("libm", ["sweep", "--input", IN, "--points", "2000"]),
-    "grover-file-300": ("libm", ["grover", "--input", IN, "--max-steps", "300"]),
-    "grover-n-65536": ("ieee", ["grover", "--n", "65536"]),
+    "sweep-file-777": ("libm text", ["sweep", "--input", IN, "--points", "777"]),
+    "sweep-file-2000": ("libm text", ["sweep", "--input", IN, "--points", "2000"]),
+    "grover-file-300": ("libm text", ["grover", "--input", IN, "--max-steps", "300"]),
+    "grover-n-65536": ("ieee text", ["grover", "--n", "65536"]),
     "search-8": ("libm", ["search", "--n", "8", "--marked", "3"]),
     "search-1024": ("libm", ["search", "--n", "1024", "--marked", "700"]),
     "compare-8": ("libm", ["compare", "--n", "8", "--marked", "3"]),
@@ -58,13 +61,16 @@ CASES = {
         for seed in range(4)
         for n in (64, 4096)
     },
-    "amplify-file-auto": ("libm", ["amplify", "--input", IN, "--output", OUT]),
+    "amplify-file-auto": ("libm text", ["amplify", "--input", IN, "--output", OUT]),
     "amplify-file-theta": (
-        "libm",
+        "libm text",
         ["amplify", "--input", IN, "--theta", "0.7", "--signs=-1,-1,+1,+1,+1", "--output", OUT],
     ),
     "amplify-n-1": ("ieee", ["amplify", "--n", "1"]),
 }
+
+# The fingerprint key a "text" case depends on; a "libm" case depends on the others.
+FLOAT_TEXT = "float_text"
 
 
 def _sha(data: bytes) -> str:
@@ -74,17 +80,24 @@ def _sha(data: bytes) -> str:
 def fingerprint() -> dict:
     """The host's bits for everything a "libm" case depends on beyond IEEE
     754: np.cos and np.sin on an array and on scalars, math.atan2, and the
-    input vector (numpy's normal stream and the norm it is divided by)."""
+    input vector (numpy's normal stream and the norm it is divided by).
+    Then, under ``FLOAT_TEXT``, the state writer's text of a probe that
+    holds every spelling: zeros, subnormals, both notations and the
+    exponents where they switch."""
     angles = np.linspace(0.0, 7.0, 1001)
     scalars = [float(x) for x in angles]
     atan2 = [math.atan2(math.sin(x), math.cos(x) * 31.0) for x in scalars]
     vector = random_unit(np.random.default_rng(INPUT_SEED), INPUT_N).amplitudes
+    probe = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1 / 3, 0.1, 1e308, 123.25]
+    probe += [sign * 1.25 * 10.0**j for j in range(-30, 31) for sign in (1, -1)]
+    probe += [2.0**j for j in range(-60, 61)]
     return {
         "numpy_major": int(np.__version__.split(".")[0]),
         "cos": _sha(np.cos(angles).tobytes() + np.array([np.cos(x) for x in scalars]).tobytes()),
         "sin": _sha(np.sin(angles).tobytes() + np.array([np.sin(x) for x in scalars]).tobytes()),
         "atan2": _sha(struct.pack(f"<{len(atan2)}d", *atan2)),
         "input": _sha(vector.tobytes()),
+        FLOAT_TEXT: _sha(dumps_state_vector(StateVector.unnormalized(len(probe), probe)).encode()),
     }
 
 
@@ -132,11 +145,15 @@ def test_golden_file_covers_exactly_the_cases(golden):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifact_digests_match_golden(name, golden, input_path, tmp_path):
-    if CASES[name][0] == "libm":
-        host = fingerprint()
-        mismatch = [key for key, value in golden["fingerprint"].items() if host.get(key) != value]
-        if mismatch:
-            pytest.skip(f"libm fingerprint differs from golden.json in {', '.join(mismatch)}")
+    tags = CASES[name][0].split()
+    host = fingerprint()
+    mismatch = [
+        key
+        for key, value in golden["fingerprint"].items()
+        if ("text" if key == FLOAT_TEXT else "libm") in tags and host.get(key) != value
+    ]
+    if mismatch:
+        pytest.skip(f"fingerprint differs from golden.json in {', '.join(mismatch)}")
     assert run_case(name, input_path, tmp_path) == golden["cases"][name]
 
 

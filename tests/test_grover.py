@@ -263,7 +263,7 @@ def test_trace_csv_layout(tmp_path):
     assert lines[0] == "step,amplitude0,probability0"
     assert len(lines) == 6
     step, amp, prob = lines[1].split(",")
-    assert step == "0"
+    assert step == "0.0"
     assert float(amp) == 0.25
     assert float(prob) == 0.0625
     path = tmp_path / "trace.csv"

@@ -383,33 +383,33 @@ def test_norm_is_the_root_of_np_sum_of_squares(n):
 
 
 # Prints the sha256 digest of four documents: a 2**18 state, a sweep, a
-# 726-row trace and one 16 Ki chunk spanning 1e-279..1e279 with a value of
-# every fallback class.  They are the process's first text writes, from four
-# threads at once, switching every microsecond, when argv[1] is "threads",
-# else one after another.
+# 726-row trace and a 4096-row table spanning 1e-279..1e279 with a NaN, an
+# infinity and other special values, which is written value by value.  They
+# are the process's first text writes, and so its first use of orjson, from
+# four threads at once, switching every microsecond, when argv[1] is
+# "threads", else one after another.
 _WRITE_PROBE = """
 import hashlib, math, sys, threading
 import numpy as np
 from optamp import StateVector, dumps_state_vector, dumps_sweep_csv, dumps_trace_csv
 from optamp import grover_iterate, theta_sweep
-from optamp.state import _CHUNK, _join_records
 from optamp.verify import random_unit_vector
 rng = np.random.default_rng(28)
 state = random_unit_vector(rng, 2**18)
 sweep = theta_sweep(state)
 trace = grover_iterate(StateVector.uniform(2**17))
-chunk = rng.uniform(1.0, 10.0, _CHUNK) * 10.0 ** rng.integers(-279, 280, _CHUNK)
-chunk *= rng.choice([-1.0, 1.0], _CHUNK)
-fallback = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, -1e300]
-fallback += [1 + 2**-17, 2.0**-25, 1e100, 123.25]
-chunk[::64] = np.resize(fallback, len(chunk[::64]))
+wide = rng.uniform(1.0, 10.0, 3 * 4096) * 10.0 ** rng.integers(-279, 280, 3 * 4096)
+wide *= rng.choice([-1.0, 1.0], len(wide))
+special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, -1e300]
+special += [1 + 2**-17, 2.0**-25, 1e100, 123.25]
+wide[::64] = np.resize(special, len(wide[::64]))
 writes = {
     "state": lambda: dumps_state_vector(state),
     "sweep": lambda: dumps_sweep_csv(sweep),
     "trace": lambda: dumps_trace_csv(trace),
-    "chunk": lambda: _join_records("\\n", chunk),
+    "wide": lambda: dumps_trace_csv(wide.reshape(-1, 3)),
 }
-assert len(trace) == 726 and "optamp._text" not in sys.modules
+assert len(trace) == 726 and "orjson" not in sys.modules
 texts = {}
 if sys.argv[1] == "threads":
     sys.setswitchinterval(1e-6)

@@ -253,10 +253,11 @@ def test_json_roundtrip_is_bit_exact():
         assert np.array_equal(again.amplitudes, vec.amplitudes)
 
 
-def test_serialization_uses_17_significant_digits():
+def test_serialization_uses_shortest_round_trip_digits():
     vec = StateVector.uniform(3)  # 1/sqrt(3) has no short decimal form
     text = dumps_state_vector(vec)
-    assert "0.57735026918962584" in text
+    amps = ",".join(["0.5773502691896258"] * 3)
+    assert text == f'{{"n": 3, "amplitudes": [{amps}]}}\n'
 
 
 def test_file_roundtrip(tmp_path):
