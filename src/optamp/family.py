@@ -46,9 +46,10 @@ from .errors import DenseCapExceeded, ParameterOutOfRange
 from .state import (
     StateVector,
     _fresh,
-    _integer,
+    _real,
     _require_dimension,
     _require_same_dimension,
+    _sign,
     _sum_by_leaves,
 )
 
@@ -99,10 +100,7 @@ class SignChoice:
 
     def __post_init__(self) -> None:
         for name in ("eps1", "eps2", "eps3", "eps4", "eps5"):
-            value = _integer(name, getattr(self, name))
-            if value not in (-1, 1):
-                raise ParameterOutOfRange(f"{name} must be -1 or +1, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _sign(name, getattr(self, name)))
 
     @property
     def effective(self) -> tuple[int, int]:
@@ -147,8 +145,9 @@ class SignChoice:
 class AmplifierSpec:
     """A family member: dimension, mixing angle in [0, 2*pi), sign pattern.
 
-    ``theta`` must be finite with |theta| < 2**24, and is reduced modulo
-    2*pi at construction so the stored angle always lies in [0, 2*pi).
+    ``theta`` must be a real number, not a bool, finite with |theta| < 2**24,
+    and is reduced modulo 2*pi at construction so the stored angle always
+    lies in [0, 2*pi).
     ``cos`` and ``sin`` are taken from it once, here, or given exactly by a
     builder; every coefficient below is arithmetic on them.
     ``dataclasses.replace`` retakes them from the rounded ``theta``, so
@@ -163,14 +162,15 @@ class AmplifierSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _require_dimension(self.n))
-        if not math.isfinite(self.theta):
-            raise ParameterOutOfRange(f"theta must be finite, got {self.theta!r}")
-        if abs(self.theta) >= _THETA_LIMIT:
+        theta = _real("theta", self.theta)
+        if not math.isfinite(theta):
+            raise ParameterOutOfRange(f"theta must be finite, got {theta!r}")
+        if abs(theta) >= _THETA_LIMIT:
             raise ParameterOutOfRange(
                 "|theta| must be below 2**24, past which its value mod 2*pi is off by "
-                f"over 1e-9 rad; got {self.theta!r}"
+                f"over 1e-9 rad; got {theta!r}"
             )
-        object.__setattr__(self, "theta", reduce_angle(float(self.theta)))
+        object.__setattr__(self, "theta", reduce_angle(theta))
         object.__setattr__(self, "cos", float(np.cos(self.theta)))
         object.__setattr__(self, "sin", float(np.sin(self.theta)))
 
@@ -223,12 +223,10 @@ def make_spec_from_beta0(
     and sin(theta) = sqrt((1 - beta0)*(1 + beta0)) signed by ``sign_gamma0``;
     round-trips with :func:`make_spec` up to roundoff.
     """
-    if abs(beta0) > 1.0:
+    beta0 = _real("beta0", beta0)
+    if not abs(beta0) <= 1.0:  # NaN included
         raise ParameterOutOfRange(f"|beta0| must not exceed 1, got {beta0!r}")
-    beta0, sign_gamma0 = float(beta0), _integer("sign_gamma0", sign_gamma0)
-    if sign_gamma0 not in (-1, 1):
-        raise ParameterOutOfRange(f"sign_gamma0 must be -1 or +1, got {sign_gamma0!r}")
-    sin = sign_gamma0 * math.sqrt((1.0 - beta0) * (1.0 + beta0))
+    sin = _sign("sign_gamma0", sign_gamma0) * math.sqrt((1.0 - beta0) * (1.0 + beta0))
     return _spec_from_pair(n, signs.eps3 * beta0, sin, signs)
 
 
@@ -239,15 +237,6 @@ def _spec_from_pair(n: int, cos: float, sin: float, signs: SignChoice) -> Amplif
     object.__setattr__(spec, "cos", cos)
     object.__setattr__(spec, "sin", sin)
     return spec
-
-
-def _pair_block(spec: AmplifierSpec) -> tuple[float, float, float, float]:
-    """``(p, q, u, v)``: the member maps the pair (a[0], S) to (p*a0 + q*S, u*a0 + v*S),
-    the new S being the sum of eps2 * (a[i] + c(a)) over slots 1..n-1.  v is
-    -eps2*cos, taken from p to avoid the cancellation in eps2 * (1 + (n-1)*t)."""
-    s0, eps2 = spec.signs.effective
-    p, q, r, _ = _block(spec.n, spec.cos, spec.sin, s0)
-    return p, q, eps2 * (spec.n - 1) * r, -eps2 * s0 * p
 
 
 def _pair_image(spec: AmplifierSpec, a: StateVector) -> tuple[float, float, float]:

@@ -1,5 +1,6 @@
 """Classic search: the step D @ Z (flip Z, then diffusion D about the uniform
-vector), a family member."""
+vector), a family member.  On the pair (a[0], sum(a[1:])) it is the rational
+block (1/n) * [[n - 2, 2], [-2(n - 1), n - 2]], which the trace iterates."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterOutOfRange
-from .family import AmplifierSpec, SignChoice, _pair_block, _spec_from_pair, dense_matrix
+from .family import AmplifierSpec, SignChoice, _spec_from_pair, dense_matrix
 from .state import StateVector, _fresh_copy, _integer, _join_records, _probability_table
 
 TRACE_HEADER = "step,amplitude0,probability0"
@@ -50,20 +51,22 @@ def grover_iterate(a: StateVector, steps: Optional[int] = None) -> np.ndarray:
     ``[step, |a[0]|, a[0]**2]`` from step 0.  ``steps`` defaults to
     ceil(2*sqrt(n)).
 
-    D @ Z is the family's Grover member, so component 0 follows the reduced
-    pair (a[0], sum(a[1:])) under that member's 2x2 map: one O(n) reduction
-    plus O(steps) scalar work.  The trace agrees with iterated
+    Component 0 follows the reduced pair (a[0], S), S = sum(a[1:]), under
+    D @ Z's exact map (a0, S) -> ((n-2)*a0 + 2*S, -2(n-1)*a0 + (n-2)*S) / n,
+    each coefficient one correctly rounded quotient of integers: one O(n)
+    reduction plus O(steps) scalar work.  The trace agrees with iterated
     :func:`grover_apply` to roundoff, not bit for bit.
     """
     if steps is None:
         steps = math.ceil(2.0 * math.sqrt(a.n))
     if (steps := _integer("steps", steps)) < 0:
         raise ParameterOutOfRange(f"steps must be nonnegative, got {steps}")
-    p, q, u, v = _pair_block(_grover_member(a.n))
+    n = a.n
+    p, q, u = (n - 2) / n, 2 / n, -2 * (n - 1) / n
     x, tail_sum = a._reduced
     column = [x]
     for _ in range(steps):
-        x, tail_sum = p * x + q * tail_sum, u * x + v * tail_sum
+        x, tail_sum = p * x + q * tail_sum, u * x + p * tail_sum
         column.append(x)
     return _probability_table(np.arange(steps + 1, dtype=np.float64), np.abs(column))
 

@@ -12,6 +12,7 @@ __all__ = [
 
 import json
 import math
+import numbers
 import os
 import sys
 import threading
@@ -219,6 +220,25 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _sign(name: str, value) -> int:
+    """The rule every sign shares: an integer by :func:`_integer` that is -1 or +1."""
+    if (value := _integer(name, value)) not in (-1, 1):
+        raise ParameterOutOfRange(f"{name} must be -1 or +1, got {value!r}")
+    return value
+
+
+def _real(name: str, value) -> float:
+    """The rule the angle and beta0 share: a real number, not a bool, stored as
+    ``float``; a numpy real scalar is one.  NaN and inf pass, for the caller's
+    range check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterOutOfRange(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterOutOfRange(f"{name} is past the float64 range") from None
 
 
 def _require_dimension(n) -> int:

@@ -92,13 +92,13 @@ def run_verification(seed: int, n: int) -> dict:
 
     worst_refl = 0.0
     worst_invol = 0.0
-    condition_violations_detected = True
+    flips_match_condition = True
     eye = np.eye(dense_n)
     for signs in sign_pool:
         spec = make_spec(dense_n, float(rng.uniform(0.0, TWO_PI)), signs)
         form = reflection_form(spec)
         if form.flips_component0 == signs.admits_reflection:
-            condition_violations_detected = False
+            flips_match_condition = False
         axis = form.u.amplitudes
         rebuilt = form.overall_sign * (eye - 2.0 * np.outer(axis, axis))
         if form.flips_component0:  # (1 - 2|u><u|) @ Z0: column 0 negated
@@ -109,7 +109,7 @@ def run_verification(seed: int, n: int) -> dict:
             worst_invol = max(worst_invol, float(np.max(np.abs(dense @ dense - eye))))
     record("reflection_reconstruction", worst_refl, 1e-12)
     record("reflection_involution", worst_invol, 1e-10)
-    record("reflection_condition_detected", 0.0 if condition_violations_detected else 1.0, 0.0)
+    record("reflection_condition_detected", 0.0 if flips_match_condition else 1.0, 0.0)
 
     record("grover_embedding_gap", corollary_equivalence_check(dense_n), 1e-12)
 

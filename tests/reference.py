@@ -7,7 +7,9 @@ with the shift written as eps2 * (a + c), two passes and two allocations;
 `apply` writes it in one pass and must match it bit for bit.  The two loops
 apply the operator to the whole vector at every grid angle or step,
 O(points * n) and O(steps * n); `theta_sweep` and `grover_iterate` must
-agree with them within ``optamp.verify.FAST_PATH_TOL``.  `relabel_matrix`
+agree with them within ``optamp.verify.FAST_PATH_TOL``.  `exact_grover_trace`
+is the trace with no rounding at all: D @ Z's rational pair map iterated in
+integers.  `relabel_matrix`
 is the dense form of `optamp.relabel_apply`.
 
 The reference writers spell one value per call with ``repr``; the library's writers
@@ -44,6 +46,7 @@ import os
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
@@ -229,6 +232,25 @@ def reference_grover_iterate(a: StateVector, steps: int):
         current = grover_apply(current)
         amp = abs(float(current.amplitudes[0]))
         rows.append((step, amp, amp * amp))
+    return rows
+
+
+def exact_grover_trace(n: int, x: float, S: float, steps: int) -> list[tuple[int, int]]:
+    """a[0] after k = 0..steps exact steps of D @ Z from the pair (x, S), as
+    ``(X_k, D * n**k)`` with a[0] = X_k / (D * n**k).
+
+    With D the common denominator of x and S, X = D*x and T = D*S are
+    integers, and the map (a0, S) -> ((n-2)*a0 + 2*S, -2(n-1)*a0 + (n-2)*S) / n
+    is X' = (n-2)*X + 2*T, T' = -2(n-1)*X + (n-2)*T over one more factor n.
+    """
+    x, S = Fraction(x), Fraction(S)
+    scale = math.lcm(x.denominator, S.denominator)
+    X, T = int(x * scale), int(S * scale)
+    rows = [(X, scale)]
+    for _ in range(steps):
+        X, T = (n - 2) * X + 2 * T, -2 * (n - 1) * X + (n - 2) * T
+        scale *= n
+        rows.append((X, scale))
     return rows
 
 

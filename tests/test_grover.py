@@ -8,6 +8,7 @@ from reference import (
     GroverOperator,
     basis,
     diffusion_apply,
+    exact_grover_trace,
     flip_matrix,
     flip_operator_apply,
     projector,
@@ -23,7 +24,8 @@ from optamp import (
     grover_apply,
     grover_iterate,
 )
-from optamp.grover import _classic_step
+from optamp.cli import main
+from optamp.grover import _classic_step, _grover_member
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +237,69 @@ def test_trace_is_deterministic():
     a = grover_iterate(StateVector.uniform(64), 10)
     b = grover_iterate(StateVector.uniform(64), 10)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the exact pair map (1/n) * [[n - 2, 2], [-2(n - 1), n - 2]] on (a[0], S)
+# ---------------------------------------------------------------------------
+
+# Worst error of one traced step, relative to R = hypot(a0, S/sqrt(n-1)), the
+# pair's norm in coordinates where the exact map is a rotation.  Each new
+# coordinate is two rounded coefficients times the pair, two products and a
+# sum: at most 3 * 2**-53 of |cos*a0| + |sin*S/sqrt(n-1)| <= R, and likewise
+# for S/sqrt(n-1), so the error vector is at most 3*sqrt(2) * 2**-53 * R.  The
+# rotation keeps earlier errors' size, so row k is within k steps of it; k + 1
+# covers the rounding of R itself.  The worst row over the cases below reads
+# 0.153 of this bound (n = 3, uniform start, row 39).
+STEP_ERROR = 3.0 * math.sqrt(2.0) * 2.0**-53
+
+
+def test_trace_steps_with_the_correctly_rounded_rational_map():
+    # 2/3 and 4/9 correctly rounded; a coefficient 2*sqrt(2)/3 / sqrt(2) one
+    # ulp high gives 0.6666666666666667 and 0.4444444444444445.
+    rows = grover_iterate(StateVector(3, [0.0, 1.0, 0.0]), 2)
+    assert rows[1].tolist() == [1.0, 0.6666666666666666, 0.4444444444444444]
+
+
+def test_cli_trace_steps_with_the_correctly_rounded_rational_map(tmp_path, capsys):
+    path = tmp_path / "e1.json"
+    path.write_text('{"n": 3, "amplitudes": [0.0, 1.0, 0.0]}', encoding="utf-8")
+    assert main(["grover", "--input", str(path), "--max-steps", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "1.0,0.6666666666666666,0.4444444444444444"
+
+
+def test_first_step_reads_the_rational_coefficients_bit_for_bit():
+    for n in range(2, 4100):
+        assert grover_iterate(basis(n, 0), 1)[1, 1] == (n - 2) / n
+        assert grover_iterate(basis(n, 1), 1)[1, 1] == 2 / n
+
+
+def test_grover_member_states_the_rational_map_within_two_ulp():
+    # The member's (cos, sin) gives the pair map as the family's block does:
+    # p = s0*cos, q = s0*r, u = eps2*(n-1)*r with r = sin/sqrt(n-1), v = -eps2*cos.
+    # Over these n the worst coefficient is u, 2 ulp from -2(n-1)/n.
+    for n in range(2, 4100):
+        spec = _grover_member(n)
+        s0, eps2 = spec.signs.effective
+        r = spec.sin / math.sqrt(n - 1)
+        got = (s0 * spec.cos, s0 * r, eps2 * (n - 1) * r, -eps2 * spec.cos)
+        want = ((n - 2) / n, 2 / n, -2 * (n - 1) / n, (n - 2) / n)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 2 * math.ulp(w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 99991, 999983])
+def test_trace_stays_within_a_linear_bound_of_the_exact_map(n):
+    steps = 3000
+    for vec in (StateVector.uniform(n), random_unit(np.random.default_rng(n), n), basis(n, 1)):
+        x, tail_sum = vec._reduced
+        norm = math.hypot(x, tail_sum / math.sqrt(n - 1))
+        got = grover_iterate(vec, steps)[:, 1].tolist()
+        for k, (amp, (X, scale)) in enumerate(zip(got, exact_grover_trace(n, x, tail_sum, steps))):
+            num, den = amp.as_integer_ratio()
+            # ||a| - |b|| <= |a - b|, one rounding of an exact quotient of integers
+            gap = abs(num * scale - abs(X) * den) / (den * scale)
+            assert gap <= (k + 1) * STEP_ERROR * norm, (k, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The parameter rule: every dimension, count, index and sign is an integer
-that is not a bool, stored as ``int``; the angle and beta0 are stored as floats."""
+that is not a bool, stored as ``int``; the angle and beta0 are real numbers
+that are not bools, stored as floats."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,3 +141,78 @@ def test_a_float32_beta0_is_stored_as_a_float():
     spec = make_spec_from_beta0(64, np.float32(0.3), 1, PLUS)
     assert (spec.theta, spec.cos, spec.sin) == (same.theta, same.cos, same.sin)
     assert isometry_residual(spec, vec) == isometry_residual(same, vec)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: make_spec(4, True, PLUS), "theta must be a real number, got True"),
+        (lambda: make_spec(4, np.True_, PLUS), f"theta must be a real number, got {np.True_!r}"),
+        (lambda: make_spec(4, "0.5", PLUS), "theta must be a real number, got '0.5'"),
+        (lambda: make_spec(4, None, PLUS), "theta must be a real number, got None"),
+        (lambda: make_spec(4, 1j, PLUS), "theta must be a real number, got 1j"),
+        (lambda: make_spec(4, 10**400, PLUS), "theta is past the float64 range"),
+        (lambda: make_spec(4, math.nan, PLUS), "theta must be finite, got nan"),
+        (
+            lambda: make_spec_from_beta0(4, True, 1, PLUS),
+            "beta0 must be a real number, got True",
+        ),
+        (
+            lambda: make_spec_from_beta0(4, "0.5", 1, PLUS),
+            "beta0 must be a real number, got '0.5'",
+        ),
+        (
+            lambda: make_spec_from_beta0(4, None, 1, PLUS),
+            "beta0 must be a real number, got None",
+        ),
+        (lambda: make_spec_from_beta0(4, 1j, 1, PLUS), "beta0 must be a real number, got 1j"),
+        (lambda: make_spec_from_beta0(4, 10**400, 1, PLUS), "beta0 is past the float64 range"),
+        (lambda: make_spec_from_beta0(4, math.nan, 1, PLUS), "|beta0| must not exceed 1, got nan"),
+        (lambda: make_spec_from_beta0(4, -1.5, 1, PLUS), "|beta0| must not exceed 1, got -1.5"),
+    ],
+    ids=[
+        "bool-theta",
+        "numpy-bool-theta",
+        "text-theta",
+        "none-theta",
+        "complex-theta",
+        "huge-theta",
+        "nan-theta",
+        "bool-beta0",
+        "text-beta0",
+        "none-beta0",
+        "complex-beta0",
+        "huge-beta0",
+        "nan-beta0",
+        "beta0-past-one",
+    ],
+)
+def test_the_angle_and_beta0_must_be_real_numbers(call, message):
+    with pytest.raises(ParameterOutOfRange) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SignChoice(1, 2, 1, 1, 1), "eps2 must be -1 or +1, got 2"),
+        (lambda: SignChoice(1, 1, 1, 1, np.int64(0)), "eps5 must be -1 or +1, got 0"),
+        (lambda: make_spec_from_beta0(4, 0.5, 0, PLUS), "sign_gamma0 must be -1 or +1, got 0"),
+        (lambda: make_spec_from_beta0(4, 0.5, -2, PLUS), "sign_gamma0 must be -1 or +1, got -2"),
+    ],
+    ids=["eps2", "numpy-eps5", "sign-gamma0-zero", "sign-gamma0-minus-two"],
+)
+def test_every_sign_is_minus_one_or_plus_one(call, message):
+    with pytest.raises(ParameterOutOfRange) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", (1, np.int64(1), np.float64(1.0), Fraction(1)))
+def test_integers_and_other_reals_are_stored_as_float(value):
+    spec, same = make_spec(4, value, PLUS), make_spec(4, 1.0, PLUS)
+    assert type(spec.theta) is float and spec.theta == 1.0
+    assert (spec.cos, spec.sin) == (same.cos, same.sin)
+    beta = make_spec_from_beta0(4, value, 1, PLUS)
+    assert type(beta.cos) is float and beta.cos == 1.0 and beta.sin == 0.0
