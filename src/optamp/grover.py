@@ -25,9 +25,12 @@ TRACE_HEADER = "step,amplitude0,probability0"
 
 def _classic_step(arr: np.ndarray) -> np.ndarray:
     """The classic step D @ Z on every column of ``arr``, in place: flip row 0,
-    then reflect each column about its mean, x -> 2*mean - x."""
+    then reflect each column about its mean, x -> 2*mean - x.  Overflow gives
+    inf and opposite infinities NaN, with no warning; the adopt check of
+    :func:`grover_apply` refuses such an output."""
     arr[0] = -arr[0]
-    np.subtract(2.0 * np.mean(arr, axis=0), arr, out=arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(2.0 * np.mean(arr, axis=0), arr, out=arr)
     return arr
 
 

@@ -114,7 +114,8 @@ def theta_sweep(a: StateVector, points: int = SWEEP_POINTS) -> np.ndarray:
     a0, tail_sum = a._reduced
     theta = TWO_PI * np.arange(points) / points
     p, q, _, _ = _block(a.n, np.cos(theta), np.sin(theta), 1)
-    return np.column_stack([theta, np.abs(p * a0 + q * tail_sum)])
+    with np.errstate(over="ignore"):  # past the float64 range: inf, as in Python
+        return np.column_stack([theta, np.abs(p * a0 + q * tail_sum)])
 
 
 def dumps_sweep_csv(rows: np.ndarray) -> str:

@@ -181,23 +181,29 @@ def _join_records(header: str, table: np.ndarray) -> str:
     float64 ``table`` as its values joined by ``,``; every line ends in a
     newline.
 
-    Every value is spelled as orjson spells a float64: the shortest digits
-    that read back to the same bits, which are the digits of ``repr(x)``, as
-    in ``0.1``, ``1e16`` and ``7.629394531249998e-6``.  The table is one
-    orjson array after the header: its brackets and every ``w``-th comma,
-    for ``w`` columns, become newlines.  orjson writes ``null`` for NaN and
-    infinities, so a table holding one is written value by value with
-    ``repr`` (``nan``, ``inf``, ``-inf``).
+    Every finite value is spelled as orjson spells a float64: the shortest
+    digits that read back to the same bits, which are the digits of
+    ``repr(x)``, as in ``0.1``, ``1e16`` and ``7.629394531249998e-6``.  The
+    table is one orjson array after the header: its brackets and every
+    ``w``-th comma, for ``w`` columns, become newlines.  orjson writes
+    ``null`` for NaN and infinities; in a table holding one, those tokens
+    are then spelled as ``repr`` spells their values (``nan``, ``inf``,
+    ``-inf``), and the finite values keep orjson's notation.
     """
     # Loaded on first use: a process that writes no text never loads it.
     import orjson
 
     rows = np.ascontiguousarray(table)
-    if len(rows) == 0 or not np.isfinite(rows).all():
-        lines = [header, *(",".join(map(repr, row)) for row in rows.tolist())]
-        return "".join(f"{line}\n" for line in lines)
+    if len(rows) == 0:  # orjson would write "[]", which the layout makes two newlines
+        return f"{header}\n"
     buf = bytearray(header, "ascii")
     buf += orjson.dumps(rows.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        # The nulls come in row-major order, as the boolean index reads the
+        # values; a header holds neither "null" nor "%".
+        spelled = tuple(repr(x).encode("ascii") for x in rows[~finite].tolist())
+        buf = buf.replace(b"null", b"%s") % spelled
     chars = np.frombuffer(buf, dtype=np.uint8)[len(header) :]  # the array, "[...]"
     width = rows.shape[1]
     chars[np.flatnonzero(chars == ord(","))[width - 1 :: width]] = ord("\n")

@@ -20,6 +20,9 @@ that names the mismatch.
 Regenerate the digests, and only then, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each fingerprint key and each case whose digests it changes,
+naming the case's moved artifacts, before it writes the file.
 """
 
 import hashlib
@@ -157,11 +160,38 @@ def test_artifact_digests_match_golden(name, golden, input_path, tmp_path):
     assert run_case(name, input_path, tmp_path) == golden["cases"][name]
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line for each fingerprint key and each case whose digests differ
+    between the ``old`` and ``new`` golden documents; a case's line names
+    the artifacts that moved."""
+    was, now = old.get("fingerprint", {}), new["fingerprint"]
+    lines = [f"fingerprint {key}" for key in sorted({**was, **now}) if was.get(key) != now.get(key)]
+    was, now = old.get("cases", {}), new["cases"]
+    for name in sorted({**was, **now}):
+        before, after = was.get(name, {}), now.get(name, {})
+        moved = sorted(key for key in {**before, **after} if before.get(key) != after.get(key))
+        if moved:
+            lines.append(f"case {name}: {', '.join(moved)}")
+    return lines
+
+
+def test_changes_names_each_moved_fingerprint_key_and_artifact():
+    old = {"fingerprint": {"cos": "a", "sin": "b"}, "cases": {"x": {"exit": 0, "stdout": "s"}}}
+    new = {
+        "fingerprint": {"cos": "a", "sin": "c"},
+        "cases": {"x": {"exit": 0, "stdout": "t"}, "y": {"exit": 2}},
+    }
+    assert changes(old, new) == ["fingerprint sin", "case x: stdout", "case y: exit"]
+    assert changes(new, new) == []
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         path = write_input(directory)
         cases = {name: run_case(name, path, directory) for name in sorted(CASES)}
     document = {"fingerprint": fingerprint(), "cases": cases}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    print("\n".join(changes(old, document)) or "no case or fingerprint key changed")
     GOLDEN.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {GOLDEN}")

@@ -1,6 +1,7 @@
 """Classic search operator: flip, diffusion, iteration, and the family embedding."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from reference import (
 
 from optamp import (
     ParameterOutOfRange,
+    StateFormatError,
     StateVector,
     corollary_equivalence_check,
     dumps_trace_csv,
@@ -111,6 +113,23 @@ def test_grover_apply_uniform_eight_target_amplitude():
     oracle = GroverOperator(8).matrix() @ StateVector.uniform(8).amplitudes
     assert np.max(np.abs(out.amplitudes - oracle)) < 1e-12
     assert abs(out.amplitudes[0] - 0.8838834764831843) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [
+        # The sum behind the mean overflows.
+        [-1.7976931348623157e308, 1.0, -1e-300, -1.0, 1e308],
+        # The mean is finite, but 2*mean - x is not.
+        [1e308, 0.0, -1e-300, 1.7976931348623157e308, -1.7976931348623157e308],
+    ],
+)
+def test_grover_apply_refuses_an_overflowing_output_without_warnings(amplitudes):
+    vec = StateVector.unnormalized(5, amplitudes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateFormatError):
+            grover_apply(vec)
 
 
 def test_grover_apply_preserves_norm():

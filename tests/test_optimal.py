@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,17 @@ def test_sweep_row_count_and_grid():
     assert len(rows) == 2
     assert rows[0][0] == 0.0
     assert abs(rows[1][0] - math.pi) < 1e-15
+
+
+def test_sweep_amplitude_past_the_float_range_is_inf_without_warnings():
+    # At theta = pi/4 the amplitude is (1.5e308 + 1.5e308) / sqrt(2), past the float range.
+    vec = StateVector.unnormalized(2, [1.5e308, 1.5e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = theta_sweep(vec, points=8)
+        text = dumps_sweep_csv(rows)
+    assert rows[1, 0] == math.pi / 4 and rows[1, 1] == math.inf
+    assert text.split("\n")[2] == "0.7853981633974483,inf,inf"
 
 
 def test_sweep_rejects_bad_points():

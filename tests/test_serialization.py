@@ -13,6 +13,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,7 +138,7 @@ def test_writers_give_back_the_bits_and_digits_of_random_patterns():
 
 def test_non_finite_csv_values_are_spelled_as_repr_spells_them():
     text = dumps_sweep_csv([(1e16, math.nan), (1e-5, -math.inf)])
-    assert text == f"{SWEEP_HEADER}\n1e+16,nan,nan\n1e-05,-inf,inf\n"
+    assert text == f"{SWEEP_HEADER}\n1e16,nan,nan\n0.00001,-inf,inf\n"
     text = dumps_trace_csv([(0, math.inf, 1.0), (1, 0.5, 0.25)])
     assert text == f"{TRACE_HEADER}\n0.0,inf,1.0\n1.0,0.5,0.25\n"
 
@@ -506,6 +507,49 @@ def test_text_of_any_finite_doubles_has_the_digits_of_repr(values):
 @given(st.lists(st.one_of(notation_boundaries, finite_doubles), min_size=2, max_size=40))
 def test_text_at_every_notation_boundary_has_the_digits_of_repr(values):
     assert_spelled_as_repr(values)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def tables_with_non_finite_cells(draw):
+    """A ``(rows, 3)`` table of finite doubles with NaN, inf or -inf at random
+    cells, one of them in the first two columns of the first row and one in
+    those of the last row, so the sweep writer's two columns hold both."""
+    rows = draw(st.integers(1, 12))
+    finite = draw(st.lists(finite_doubles, min_size=3 * rows, max_size=3 * rows))
+    table = np.array(finite).reshape(rows, 3)
+    cell = st.tuples(st.integers(0, rows - 1), st.integers(0, 2), NON_FINITE)
+    ends = [(row, draw(st.integers(0, 1)), draw(NON_FINITE)) for row in (0, rows - 1)]
+    for row, col, x in ends + draw(st.lists(cell, max_size=3 * rows)):
+        table[row, col] = x
+    return table
+
+
+def assert_csv_spelling(text: str, header: str, table: np.ndarray) -> None:
+    """Each token of a CSV reads back to the bits of its value in ``table``,
+    a finite value spelled as ``orjson.dumps`` spells it, NaN and the
+    infinities as ``repr`` does."""
+    tokens = csv_tokens(text, header)
+    back = np.array([float(token) for token in tokens])
+    assert np.array_equal(back.view(np.uint64), table.ravel().view(np.uint64))
+    for token, x in zip(tokens, table.ravel().tolist()):
+        assert token == (str(orjson.dumps(x), "ascii") if math.isfinite(x) else repr(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_non_finite_cells())
+def test_non_finite_tables_keep_orjson_spelling_for_finite_values(table):
+    theta, amp = table[:, 0], table[:, 1]
+    with np.errstate(over="ignore"):
+        swept = np.column_stack([theta, amp, amp * amp])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = dumps_sweep_csv(table[:, :2])
+        trace = dumps_trace_csv(table)
+    assert_csv_spelling(sweep, SWEEP_HEADER, swept)
+    assert_csv_spelling(trace, TRACE_HEADER, table)
 
 
 def spread(values: range, count: int) -> list[int]:
