@@ -12,8 +12,7 @@ coordinates describe it completely:
 which always satisfy (n - 1) * gamma0**2 + beta0**2 == 1, so the pair
 traces an ellipse as theta sweeps [0, 2*pi).  A member keeps (cos(theta),
 sin(theta)) beside theta, taken once from it or given exactly (the Grover
-member, `make_spec_from_beta0`); every coefficient is arithmetic on them
-but `reflection_form`'s half angle, from the rounded theta (ROADMAP item 2).
+member, `make_spec_from_beta0`); every coefficient is arithmetic on them.
 Every member is a signed Householder reflection with a closed form axis,
 preceded for half of the 32 sign patterns by a sign flip of component 0,
 as Grover's step is; `reflection_form` extracts the axis and the flip.
@@ -149,7 +148,8 @@ class AmplifierSpec:
     and is reduced modulo 2*pi at construction so the stored angle always
     lies in [0, 2*pi).
     ``cos`` and ``sin`` are taken from it once, here, or given exactly by a
-    builder; every coefficient below is arithmetic on them.
+    builder; every coefficient of the member is arithmetic on them, and
+    ``theta`` itself is only validated and reported.
     ``dataclasses.replace`` retakes them from the rounded ``theta``, so
     rebuild a member with an exact pair through its builder instead.
     """
@@ -328,14 +328,23 @@ def reflection_form(spec: AmplifierSpec) -> ReflectionForm:
 
     a unit vector whose last n-1 components are all equal.  For the Grover
     member it is the uniform vector, and the form is Grover's D @ Z.
-
-    The half angle, ``0.5 * spec.theta``, is the one coefficient taken from
-    the rounded theta, not the stored pair; ROADMAP item 2 owns the fix.
+    (cos(theta/2), sin(theta/2)) come from the stored pair, theta/2 in
+    [0, pi): sin(theta/2) >= 0, and cos(theta/2) < 0 exactly when sin < 0.
     """
     s0, eps2 = spec.signs.effective
-    half = 0.5 * spec.theta
-    axis = np.full(spec.n, math.cos(half) / math.sqrt(spec.n - 1))
-    axis[0] = -s0 * eps2 * math.sin(half)
+    cos, sin = spec.cos, spec.sin
+    # Half-angle formulas on the branch that does not cancel: the larger
+    # half is a square root, the other is sin / (2 * larger).
+    if cos >= 0.0:
+        half_cos = math.sqrt(0.5 * (1.0 + cos))
+        if sin < 0.0:
+            half_cos = -half_cos
+        half_sin = sin / (2.0 * half_cos)
+    else:
+        half_sin = math.sqrt(0.5 * (1.0 - cos))
+        half_cos = sin / (2.0 * half_sin)
+    axis = np.full(spec.n, half_cos / math.sqrt(spec.n - 1))
+    axis[0] = -s0 * eps2 * half_sin
     return ReflectionForm(eps2, StateVector._adopt(spec.n, axis), s0 != eps2)
 
 

@@ -597,6 +597,15 @@ def test_verify_different_seeds_differ(tmp_path):
     assert first.read_bytes() != second.read_bytes()
 
 
+@pytest.mark.parametrize("n", (2, 3))
+def test_verify_passes_at_the_smallest_dimensions(n):
+    """At n = 2 span{e0, w} is the whole space, and the dense checks run at n."""
+    import optamp.verify as verify_module
+
+    for seed in range(8):
+        assert verify_module.run_verification(seed, n)["passed"], seed
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "optamp", "search", "--n", "8", "--marked", "2"],

@@ -1,5 +1,6 @@
 """Operator family: spec construction, functionals, apply, dense form, reflections."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -337,6 +338,20 @@ def test_sign_patterns_collapse_to_four_operators(n):
             assert all(np.max(np.abs(m - members[0])) == 0.0 for m in members)
 
 
+def test_at_n_2_the_four_classes_give_two_operators():
+    """With no complement to span{e0, w}, member(theta, s0, eps2) is
+    member(theta + pi, -s0, -eps2); at n = 3 the two differ on w-perp."""
+    rng = np.random.default_rng(12)
+    for theta in rng.uniform(0.0, 2 * math.pi, size=64):
+        for signs in SignChoice.enumerate():
+            opposite = SignChoice(-signs.eps1, -signs.eps2, signs.eps3, signs.eps4, signs.eps5)
+            assert opposite.effective == (-signs.effective[0], -signs.effective[1])
+            for n, expected in ((2, 0.0), (3, 1.0)):
+                first = dense_matrix(make_spec(n, theta, signs))
+                second = dense_matrix(make_spec(n, theta + math.pi, opposite))
+                assert abs(np.max(np.abs(first - second)) - expected) <= 4e-15
+
+
 def test_admits_reflection_is_s0_equals_eps2():
     for signs in SignChoice.enumerate():
         s0, eps2 = signs.effective
@@ -418,6 +433,63 @@ def test_reflection_condition_split_over_all_signs():
         outcome = reflection_form(make_spec(6, 0.9, signs))
         assert isinstance(outcome, ReflectionForm)
         assert outcome.flips_component0 == (not signs.admits_reflection)
+
+
+def test_reflection_axis_follows_the_half_angle_sign_convention():
+    """u is the closed form at h = theta/2 in [0, pi), so -s0*eps2*u[0] =
+    sin(h) >= 0; a reflection is blind to the sign of u, so only this sees it."""
+    rng = np.random.default_rng(13)
+    for quadrant in range(4):
+        for theta in rng.uniform(quadrant * math.pi / 2, (quadrant + 1) * math.pi / 2, size=16):
+            for signs in SignChoice.enumerate():
+                spec = make_spec(int(rng.integers(2, 10)), theta, signs)
+                s0, eps2 = signs.effective
+                half = 0.5 * spec.theta
+                u = reflection_form(spec).u.amplitudes
+                expected = np.full(spec.n, math.cos(half) / math.sqrt(spec.n - 1))
+                expected[0] = -s0 * eps2 * math.sin(half)
+                assert np.max(np.abs(u - expected)) <= 2.0**-52, (theta, signs)
+                assert -s0 * eps2 * u[0] >= 0.0
+
+
+def test_reflection_axis_of_an_exact_pair_at_cos_plus_or_minus_one():
+    """Built from beta0 = +/-1, the stored pair is exactly (-1, +/-0) or (1, +/-0):
+    the axis is then exactly +/-e0, or (0, w), and the form rebuilds the member
+    bit for bit."""
+    for n in (2, 3, 5, 64):
+        for signs in SignChoice.enumerate():
+            s0, eps2 = signs.effective
+            for beta0, sign_gamma0 in itertools.product((1.0, -1.0), (1, -1)):
+                spec = make_spec_from_beta0(n, beta0, sign_gamma0, signs)
+                form = reflection_form(spec)
+                u = form.u.amplitudes
+                if spec.cos == -1.0:
+                    assert u[0] == -s0 * eps2 and np.all(u[1:] == 0.0)
+                    assert np.array_equal(reflection_matrix(form), dense_matrix(spec))
+                else:
+                    assert u[0] == 0.0 and np.all(u[1:] == 1.0 / math.sqrt(n - 1))
+
+
+def test_reflection_form_rebuilds_random_members_within_two_ulps():
+    """max|dense_matrix - rebuilt form| over members built from a pair (a tenth
+    of them within 1e-12 of beta0 = +/-1) and from an angle, n = 2..8."""
+    rng = np.random.default_rng(14)
+    patterns = SignChoice.enumerate()
+    gaps = {"pair": [], "angle": []}
+    for i in range(4000):
+        n, signs = int(rng.integers(2, 9)), patterns[i % 32]
+        if i % 10 == 0:
+            beta0 = float(rng.choice((-1.0, 1.0))) * (1.0 - float(rng.uniform(0.0, 1e-12)))
+        else:
+            beta0 = float(rng.uniform(-1.0, 1.0))
+        members = {
+            "pair": make_spec_from_beta0(n, beta0, int(rng.choice((-1, 1))), signs),
+            "angle": make_spec(n, float(rng.uniform(0.0, 2 * math.pi)), signs),
+        }
+        for kind, spec in members.items():
+            rebuilt = reflection_matrix(reflection_form(spec))
+            gaps[kind].append(np.max(np.abs(dense_matrix(spec) - rebuilt)))
+    assert max(gaps["pair"]) <= 4.5e-16 and max(gaps["angle"]) <= 4.5e-16
 
 
 # ---------------------------------------------------------------------------

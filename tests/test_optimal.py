@@ -126,6 +126,14 @@ def test_amplify_grover_start_is_absolute():
         assert np.max(np.abs(out.amplitudes[1:])) < 1e-12
 
 
+def test_uniform_start_probability_is_one_within_sixteen_ulps():
+    """Exactly 1 in exact arithmetic; the float64 probability reads up to
+    6 * 2**-52 off for these n, and above 1 at some of them (n = 4)."""
+    for n in range(2, 4100):
+        _, report = amplify_optimal(StateVector.uniform(n))
+        assert abs(report.post_probability0 - 1.0) <= 16 * 2.0**-52, n
+
+
 def test_amplify_uniform_tail_matches_magnitude_of_a0():
     # at the optimum, |cos(theta)| equals |a0| for uniform-tail inputs
     vec, _ = uniform_tail_vector(10, 0.4)
