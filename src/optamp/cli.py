@@ -195,7 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="seeded randomized invariant battery (JSON)")
     p.set_defaults(run=_cmd_verify)
-    p.add_argument("--seed", type=int, default=0, help="generator seed (numpy default_rng)")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="numpy default_rng seed: a non-negative integer of any size (default 0)",
+    )
     p.add_argument("--n", type=int, default=64, help="dimension of the checked vectors")
     add_io(p, with_input=False)
 

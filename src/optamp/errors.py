@@ -1,7 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per rule."""
 
 __all__ = [
-    "DenseCapExceeded",
     "DimensionError",
     "NormalizationError",
     "ParameterOutOfRange",
@@ -10,15 +9,12 @@ __all__ = [
 
 
 class DimensionError(ValueError):
-    """Vector or operator dimensions are too small or do not match."""
+    """A dimension is below 2, differs from the one expected, or is above
+    ``dense_matrix``'s cap of 4096."""
 
 
 class ParameterOutOfRange(ValueError):
     """A numeric parameter lies outside its admissible range."""
-
-
-class DenseCapExceeded(ValueError):
-    """Dense-matrix construction was requested above ``DENSE_CAP_DEFAULT``."""
 
 
 class NormalizationError(ValueError):

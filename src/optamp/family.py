@@ -21,7 +21,6 @@ as Grover's step is; `reflection_form` extracts the axis and the flip.
 from __future__ import annotations
 
 __all__ = [
-    "DENSE_CAP_DEFAULT",
     "AmplifierSpec",
     "ReflectionForm",
     "SignChoice",
@@ -41,7 +40,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DenseCapExceeded, ParameterOutOfRange
+from .errors import DimensionError, ParameterOutOfRange
 from .state import (
     StateVector,
     _fresh,
@@ -54,7 +53,8 @@ from .state import (
 
 TWO_PI = 2.0 * math.pi
 
-DENSE_CAP_DEFAULT = 4096
+# Largest n `dense_matrix` builds: its float64 matrix takes 8 * n**2 bytes.
+_DENSE_CAP = 4096
 
 # From |theta| = 2**24 up, half an ulp of theta exceeds 1e-9 rad, so the
 # angle left after reduction mod 2*pi is no longer known to that accuracy.
@@ -301,11 +301,11 @@ def apply(spec: AmplifierSpec, a: StateVector) -> StateVector:
 def dense_matrix(spec: AmplifierSpec) -> np.ndarray:
     """Materialize the operator as an (n, n) float array.
 
-    Refuses dimensions above ``DENSE_CAP_DEFAULT`` (quadratic memory); the
-    matrix-free :func:`apply` has no such limit.
+    Refuses dimensions above 4096 (quadratic memory) with DimensionError;
+    the matrix-free :func:`apply` has no such limit.
     """
-    if spec.n > DENSE_CAP_DEFAULT:
-        raise DenseCapExceeded(f"n={spec.n} exceeds the dense cap {DENSE_CAP_DEFAULT}")
+    if spec.n > _DENSE_CAP:
+        raise DimensionError(f"n={spec.n} exceeds the dense cap {_DENSE_CAP}")
     n = spec.n
     s0, eps2 = spec.signs.effective
     p, q, r, t = _block(n, spec.cos, spec.sin, s0)

@@ -212,8 +212,13 @@ def _join_records(header: str, table: np.ndarray) -> str:
 
 
 def _dumps_json(obj) -> str:
-    """The JSON artifact format shared by every report: two-space indent, final newline."""
-    return json.dumps(obj, indent=2) + "\n"
+    """The JSON artifact format shared by every report: RFC 8259 JSON with a
+    two-space indent and a final newline.  A NaN or infinity, which json
+    would write as a token the loader refuses, raises StateFormatError."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise StateFormatError(f"not valid JSON: {exc}") from None
 
 
 def _write_text(path, text: str) -> None:

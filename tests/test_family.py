@@ -16,7 +16,6 @@ from reference import (
 )
 
 from optamp import (
-    DenseCapExceeded,
     DimensionError,
     ParameterOutOfRange,
     ReflectionForm,
@@ -377,12 +376,12 @@ def test_dense_matrix_grover_embedding():
 
 
 def test_dense_cap_enforced(monkeypatch):
-    with pytest.raises(DenseCapExceeded):
+    with pytest.raises(DimensionError):
         dense_matrix(make_spec(4097, 0.5, ALL_PLUS))
     # the cap is read at call time, and n equal to it is accepted
-    monkeypatch.setattr(family, "DENSE_CAP_DEFAULT", 8)
+    monkeypatch.setattr(family, "_DENSE_CAP", 8)
     assert dense_matrix(make_spec(8, 0.5, ALL_PLUS)).shape == (8, 8)
-    with pytest.raises(DenseCapExceeded):
+    with pytest.raises(DimensionError):
         dense_matrix(make_spec(9, 0.5, ALL_PLUS))
 
 

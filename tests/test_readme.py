@@ -28,6 +28,8 @@ NOT_PUBLIC = (
     "to_string",
     "from_arrays",
     "GroverOperator",
+    "DenseCapExceeded",
+    "DENSE_CAP_DEFAULT",
 )
 
 
